@@ -11,9 +11,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Determinism-contract static analysis (DESIGN.md §10): map-iteration
-# order in encoded output, wall-clock reads in sim packages,
-# ctx.Err()-after-cancel ordering, metric-name drift.
+# Determinism-contract static analysis (DESIGN.md §10, §15), one
+# analyzer per contract: map-iteration order in encoded output, direct
+# or transitive wall-clock reads in sim packages, ctx.Err()-after-cancel
+# ordering, metric-name drift, retained arena memory, cell-map folds,
+# blocking under the admission mutex, dropped durable-write errors.
 lint:
 	$(GO) run ./cmd/reprolint ./...
 

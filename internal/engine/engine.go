@@ -12,9 +12,10 @@
 // Ownership contract: the arena owns everything the system allocated;
 // results handed out of an arena are deep copies (core.ReportOwned).
 // Retaining a pointer into arena memory across the next Build/Run is a
-// use-after-reset bug — the reprolint arenaretain analyzer flags the
-// aliasing entry points (core.Report, hv.System.Log) in arena-adopting
-// packages.
+// use-after-reset bug — in arena-adopting packages the reprolint
+// arenaretain analyzer flags both the aliasing entry points
+// (core.Report, hv.System.Log) and any value derived from them that is
+// stored into a field, global, map or channel.
 //
 // Arenas are single-goroutine: no internal locking, exactly one owner.
 // The fan-out entry points (RunManyCtx and callers of

@@ -9,9 +9,12 @@
 //	for k := range m { // want `nondeterministic iteration order`
 //
 // Both backquoted and double-quoted regexps are accepted.
-// //reprolint:allow directives are honored exactly as the driver
-// honors them, so fixtures can assert suppression by carrying an allow
-// comment and no want expectation.
+// The analyzer runs through the driver's own pass loop (lint.Check)
+// with a suite of one, so //reprolint:allow directives are honored
+// exactly as the driver honors them: fixtures assert suppression by
+// carrying an allow comment and no want expectation, and a malformed,
+// foreign or unused directive surfaces as an unexpected "reprolint"
+// diagnostic.
 //
 // The fixture directory is loaded recursively: a fixture may be a tree
 // of packages (the interprocedural analyzers need helper subpackages
@@ -23,14 +26,13 @@ package analysistest
 
 import (
 	"fmt"
-	"go/token"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/lint"
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/interproc"
 	"repro/internal/lint/load"
 )
 
@@ -56,7 +58,6 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	if len(pkgs) == 0 {
 		t.Fatalf("fixture %s: no packages", dir)
 	}
-	mod := interproc.Build(pkgs)
 
 	wants := map[string][]*expectation{} // "file:line" -> expectations
 	for _, pkg := range pkgs {
@@ -85,40 +86,22 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 		}
 	}
 
-	for _, pkg := range pkgs {
-		var diags []analysis.Diagnostic
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Syntax,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.TypesInfo,
-			Module:    mod,
-			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-		}
-		if _, err := a.Run(pass); err != nil {
-			t.Fatalf("%s on %s: %v", a.Name, pkg.PkgPath, err)
-		}
-		allows, invalid := analysis.ParseAllows(pkg.Fset, pkg.Syntax, map[string]bool{a.Name: true})
-		for _, d := range invalid {
-			t.Errorf("%s: invalid directive: %s", position(pkg.Fset, d.Pos), d.Message)
-		}
-		diags = analysis.Suppress(pkg.Fset, diags, a.Name, allows)
-
-		for _, d := range diags {
-			pos := pkg.Fset.Position(d.Pos)
-			key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-			found := false
-			for _, w := range wants[key] {
-				if !w.matched && w.re.MatchString(d.Message) {
-					w.matched = true
-					found = true
-					break
-				}
+	findings, err := lint.Check(pkgs, []*analysis.Analyzer{a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		key := fmt.Sprintf("%s:%d", f.File, f.Line)
+		found := false
+		for _, w := range wants[key] {
+			if !w.matched && w.re.MatchString(f.Message) {
+				w.matched = true
+				found = true
+				break
 			}
-			if !found {
-				t.Errorf("%s: unexpected diagnostic: %s", key, d.Message)
-			}
+		}
+		if !found {
+			t.Errorf("%s: unexpected diagnostic: %s [%s]", key, f.Message, f.Analyzer)
 		}
 	}
 	for key, ws := range wants {
@@ -128,9 +111,4 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 			}
 		}
 	}
-}
-
-func position(fset *token.FileSet, pos token.Pos) string {
-	p := fset.Position(pos)
-	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
 }

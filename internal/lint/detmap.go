@@ -6,6 +6,7 @@ import (
 	"go/types"
 
 	"repro/internal/lint/analysis"
+	"repro/internal/lint/interproc"
 )
 
 // detmapScope lists the determinism-critical packages: anything whose
@@ -42,7 +43,7 @@ func runDetmap(pass *analysis.Pass) (interface{}, error) {
 		return nil, nil
 	}
 	for _, file := range pass.Files {
-		inspectWithStack(file, func(n ast.Node, stack []ast.Node) bool {
+		interproc.InspectStack(file, func(n ast.Node, stack []ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok {
 				return true

@@ -14,8 +14,8 @@ import (
 )
 
 // Finding is one diagnostic attributed to the analyzer that produced
-// it. File is relative to the working directory when that is shorter,
-// mirroring go vet.
+// it. Check leaves File absolute; RunFindings makes it relative to the
+// working directory when that is shorter, mirroring go vet.
 type Finding struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
@@ -24,17 +24,58 @@ type Finding struct {
 	Analyzer string `json:"analyzer"`
 }
 
-// RunFindings loads the packages matched by patterns, builds the
-// module-wide interprocedural summaries once, applies every analyzer,
-// and honors //reprolint:allow directives. The returned findings are in
-// deterministic order (file, line, column, analyzer, message). A
-// non-nil error means the load or an analyzer itself failed, not that
-// findings exist.
+// RunFindings loads the packages matched by patterns and Checks them.
+// File names are made relative to the working directory when that is
+// shorter, and the findings are in deterministic order (file, line,
+// column, analyzer, message). A non-nil error means the load or an
+// analyzer itself failed, not that findings exist.
 func RunFindings(analyzers []*analysis.Analyzer, patterns []string) ([]Finding, error) {
 	pkgs, err := load.Load(patterns...)
 	if err != nil {
 		return nil, err
 	}
+	findings, err := Check(pkgs, analyzers)
+	if err != nil {
+		return nil, err
+	}
+
+	cwd, _ := os.Getwd()
+	for i := range findings {
+		name := findings[i].File
+		if cwd != "" {
+			if rel, err := filepath.Rel(cwd, name); err == nil && len(rel) < len(name) {
+				findings[i].File = rel
+			}
+		}
+	}
+
+	sort.Slice(findings, func(i, j int) bool {
+		a, b := findings[i], findings[j]
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		if a.Col != b.Col {
+			return a.Col < b.Col
+		}
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
+	})
+	return findings, nil
+}
+
+// Check is the per-package pass loop shared by the driver and
+// analysistest: it builds the module-wide interprocedural summaries
+// once over pkgs, applies every analyzer to every package, and honors
+// //reprolint:allow directives. Malformed, unknown-analyzer and unused
+// directives come back as findings of the pseudo-analyzer "reprolint".
+// Findings keep the file set's (absolute) file names, in package then
+// analyzer order.
+func Check(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
 	known := map[string]bool{}
 	for _, a := range analyzers {
 		known[a.Name] = true
@@ -70,7 +111,7 @@ func RunFindings(analyzers []*analysis.Analyzer, patterns []string) ([]Finding, 
 				findings = append(findings, Finding{p.Filename, p.Line, p.Column, d.Message, a.Name})
 			}
 		}
-		// Every directive must earn its keep: the full suite just ran,
+		// Every directive must earn its keep: every analyzer just ran,
 		// so an unused allow is stale and must go.
 		for _, al := range allows {
 			if !al.Used {
@@ -83,33 +124,6 @@ func RunFindings(analyzers []*analysis.Analyzer, patterns []string) ([]Finding, 
 			}
 		}
 	}
-
-	cwd, _ := os.Getwd()
-	for i := range findings {
-		name := findings[i].File
-		if cwd != "" {
-			if rel, err := filepath.Rel(cwd, name); err == nil && len(rel) < len(name) {
-				findings[i].File = rel
-			}
-		}
-	}
-
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i], findings[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
-	})
 	return findings, nil
 }
 

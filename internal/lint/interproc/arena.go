@@ -38,7 +38,7 @@ func (m *Module) arenaScan(fi *FuncInfo, record bool) bool {
 			obj := info.Uses[e]
 			return obj != nil && tainted[obj]
 		case *ast.CallExpr:
-			if k := calleeOf(info, e); k != "" {
+			if k := CalleeOf(info, e); k != "" {
 				if m.cutAt(fi.fset, e.Pos(), famArena) {
 					return false // allowed alias: deliberately borrowed, not propagated
 				}
@@ -157,7 +157,7 @@ func (m *Module) arenaScan(fi *FuncInfo, record bool) bool {
 	}
 
 	scan := func() {
-		inspectStack(fi.decl.Body, func(n ast.Node, stack []ast.Node) bool {
+		InspectStack(fi.decl.Body, func(n ast.Node, stack []ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				if len(n.Rhs) == 1 && len(n.Lhs) > 1 {

@@ -78,7 +78,7 @@ func (m *Module) durableScan(fi *FuncInfo, record bool) bool {
 		}
 	}
 
-	inspectStack(fi.decl.Body, func(n ast.Node, stack []ast.Node) bool {
+	InspectStack(fi.decl.Body, func(n ast.Node, stack []ast.Node) bool {
 		if ret, ok := n.(*ast.ReturnStmt); ok && !insideFuncLit(stack) {
 			for _, r := range ret.Results {
 				if id, ok := ast.Unparen(r).(*ast.Ident); ok && errObjs[info.Uses[id]] {
@@ -91,7 +91,7 @@ func (m *Module) durableScan(fi *FuncInfo, record bool) bool {
 		if !ok {
 			return true
 		}
-		key := calleeOf(info, call)
+		key := CalleeOf(info, call)
 		if key == "" || !m.durableFn(key) {
 			return true
 		}

@@ -53,9 +53,12 @@ import (
 const modulePath = "repro"
 
 // OperationalClockPkgs are the packages where wall-clock reads are the
-// point (timeouts, heartbeats, latency observation). They are both the
-// wallclock/wallclock2 scope exclusion and a propagation boundary:
-// calls into them never taint a simulation caller with Clock.
+// point: the serve daemon and its client (timeouts, backoff), the disk
+// store (mtimes), the worker pool, the metrics layer (latency
+// observation) and the cluster layer (heartbeats, probe timeouts,
+// hedging budgets). They are both the wallclock scope exclusion and a
+// propagation boundary: calls into them never taint a simulation
+// caller with Clock.
 var OperationalClockPkgs = []string{
 	modulePath + "/internal/serve",
 	modulePath + "/internal/store",
@@ -64,17 +67,19 @@ var OperationalClockPkgs = []string{
 	modulePath + "/internal/cluster",
 }
 
-// arenaAdoptingPkgs run simulations through reusable arenas and must
-// treat hypervisor-owned state as borrowed (DESIGN.md §11). Only these
-// packages (plus the arenaescape fixture tree) get arena dataflow
-// scans; packages below the arena seam own that memory legitimately.
-var arenaAdoptingPkgs = []string{
+// ArenaAdoptingPkgs run simulations through reusable arenas and must
+// treat hypervisor-owned state as borrowed (DESIGN.md §11). They are
+// the arenaretain scope, and only they (plus the arenaescape fixture
+// tree) get arena dataflow scans; packages below the arena seam (hv,
+// core, des, ...) own or copy that memory legitimately.
+var ArenaAdoptingPkgs = []string{
 	modulePath + "/internal/engine",
 	modulePath + "/internal/experiments",
 	modulePath + "/internal/sweep",
 	modulePath + "/internal/faults",
 	modulePath + "/internal/serve",
 	modulePath + "/internal/campaign",
+	modulePath + "/internal/diffuzz",
 }
 
 // family indexes the summary a //reprolint:allow directive cuts:
@@ -94,17 +99,15 @@ const (
 // familyOf maps analyzer names to the summary family their allows cut.
 var familyOf = map[string]family{
 	"wallclock":   famClock,
-	"wallclock2":  famClock,
 	"lockheld":    famBlock,
 	"arenaretain": famArena,
-	"arenaescape": famArena,
 	"durableerr":  famDurable,
 }
 
-// clockTimeFuncs / clockRandOK mirror the wallclock analyzer's base
-// fact tables: time package entry points that read or wait on the host
-// clock, and the math/rand constructors that are fine because a locally
-// seeded source is deterministic.
+// clockTimeFuncs are the time package entry points that read or wait
+// on the host clock; clockRandOK are the math/rand constructors, fine
+// because a locally seeded source is deterministic (only the implicitly
+// seeded global functions are forbidden).
 var clockTimeFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "Sleep": true,
 	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true,
@@ -118,8 +121,8 @@ var clockRandOK = map[string]bool{
 
 // BaseClock reports whether key names a leaf function that reads host
 // time or implicitly host-seeded randomness. These terminate clock
-// chains; calls to them directly are old wallclock's business, calls
-// that merely reach them are wallclock2's.
+// chains: a call to one is wallclock's direct rule, a call that merely
+// reaches one is its transitive rule.
 func BaseClock(key string) bool {
 	if name, ok := strings.CutPrefix(key, "time."); ok {
 		return clockTimeFuncs[name]
@@ -176,6 +179,9 @@ var baseArena = map[string]bool{
 	modulePath + "/internal/core.Report":          true,
 	"(" + modulePath + "/internal/hv.System).Log": true,
 }
+
+// BaseArena reports whether key names an arena seam.
+func BaseArena(key string) bool { return baseArena[key] }
 
 // baseDurable names the durable-write leaves whose error results carry
 // the no-acked-job-lost invariant (DESIGN.md §9): the write-ahead
@@ -275,9 +281,8 @@ type Module struct {
 
 // Key returns the stable cross-package identity of fn:
 // "pkg/path.Name" for package functions, "(pkg/path.Recv).Name" for
-// methods (receiver pointer-ness erased). The source importer
-// type-checks dependencies once per loaded directory, so *types.Func
-// pointers do not survive across packages — string keys do.
+// methods (receiver pointer-ness erased). A key stays stable across
+// Load calls and importers, where *types.Func pointers need not.
 func Key(fn *types.Func) string {
 	fn = fn.Origin()
 	sig, ok := fn.Type().(*types.Signature)
@@ -492,9 +497,9 @@ func (m *Module) cutAt(fset *token.FileSet, pos token.Pos, fam family) bool {
 	return fams != nil && fams[fam]
 }
 
-// inspectStack walks root like ast.Inspect, also handing fn the stack
+// InspectStack walks root like ast.Inspect, also handing fn the stack
 // of ancestor nodes (outermost first, excluding n).
-func inspectStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
+func InspectStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 	var stack []ast.Node
 	ast.Inspect(root, func(n ast.Node) bool {
 		if n == nil {
@@ -509,9 +514,9 @@ func inspectStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 	})
 }
 
-// calleeOf resolves the static callee of call to its key, or "" for
+// CalleeOf resolves the static callee of call to its key, or "" for
 // dynamic calls (function values), conversions, and builtins.
-func calleeOf(info *types.Info, call *ast.CallExpr) string {
+func CalleeOf(info *types.Info, call *ast.CallExpr) string {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
@@ -560,10 +565,10 @@ func (m *Module) collect(fi *FuncInfo) {
 		return c
 	}
 
-	inspectStack(fi.decl.Body, func(n ast.Node, stack []ast.Node) bool {
+	InspectStack(fi.decl.Body, func(n ast.Node, stack []ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if callee := calleeOf(fi.info, n); callee != "" {
+			if callee := CalleeOf(fi.info, n); callee != "" {
 				fi.Calls = append(fi.Calls, CallSite{
 					Pos:    n.Pos(),
 					Callee: callee,
@@ -637,7 +642,7 @@ func clockForcedClean(pkg string) bool {
 
 // arenaScanPkg reports whether pkg gets the arena dataflow scan.
 func arenaScanPkg(pkg string) bool {
-	for _, p := range arenaAdoptingPkgs {
+	for _, p := range ArenaAdoptingPkgs {
 		if pkg == p || strings.HasPrefix(pkg, p+"/") {
 			return true
 		}

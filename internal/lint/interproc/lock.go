@@ -41,7 +41,7 @@ func (m *Module) lockScan(fi *FuncInfo) {
 		if n == nil {
 			return
 		}
-		inspectStack(n, func(x ast.Node, stack []ast.Node) bool {
+		InspectStack(n, func(x ast.Node, stack []ast.Node) bool {
 			switch x := x.(type) {
 			case *ast.FuncLit, *ast.GoStmt:
 				return false
@@ -49,7 +49,7 @@ func (m *Module) lockScan(fi *FuncInfo) {
 				if _, ok := jmuOp(info, x); ok {
 					return true
 				}
-				key := calleeOf(info, x)
+				key := CalleeOf(info, x)
 				if key != "" && m.BlockTainted(key) {
 					flag(x.Pos(), "call to "+Short(key)+" may block ("+m.BlockChain(key)+") while holding the admission mutex jmu")
 				}

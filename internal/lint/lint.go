@@ -28,13 +28,14 @@ import (
 // lists below are rooted at it.
 const modulePath = "repro"
 
-// All returns the reprolint analyzer suite in its fixed run order: the
-// single-package statement checks first, then the interprocedural
-// analyzers built on the module call graph (DESIGN.md §15).
+// All returns the reprolint analyzer suite in its fixed run order, one
+// analyzer per contract. wallclock, arenaretain, lockheld and
+// durableerr read the module call graph's summaries (DESIGN.md §15);
+// the rest are single-package statement checks.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Detmap, Wallclock, CtxErrOrder, MetricName, Arenaretain, Cellmap,
-		Wallclock2, Lockheld, Durableerr, Arenaescape,
+		Lockheld, Durableerr,
 	}
 }
 
@@ -64,23 +65,6 @@ func isFixtureFor(path, name string) bool {
 // under every catch-all analyzer simultaneously.
 func isAnyFixture(path string) bool {
 	return strings.Contains(path, "/testdata/src/")
-}
-
-// inspectWithStack walks root like ast.Inspect but also hands fn the
-// stack of ancestor nodes (outermost first, not including n).
-func inspectWithStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if !fn(n, stack) {
-			return false
-		}
-		stack = append(stack, n)
-		return true
-	})
 }
 
 // pkgNameOf resolves expr to the imported package it names, if it is a

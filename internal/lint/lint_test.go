@@ -35,8 +35,10 @@ func TestCellmap(t *testing.T) {
 	analysistest.Run(t, filepath.Join("testdata", "src", "cellmap"), lint.Cellmap)
 }
 
+// TestWallclock2 runs wallclock over the helper-chain fixture, where
+// only its transitive rule can fire.
 func TestWallclock2(t *testing.T) {
-	analysistest.Run(t, filepath.Join("testdata", "src", "wallclock2"), lint.Wallclock2)
+	analysistest.Run(t, filepath.Join("testdata", "src", "wallclock2"), lint.Wallclock)
 }
 
 func TestLockheld(t *testing.T) {
@@ -47,8 +49,10 @@ func TestDurableerr(t *testing.T) {
 	analysistest.Run(t, filepath.Join("testdata", "src", "durableerr"), lint.Durableerr)
 }
 
+// TestArenaescape runs arenaretain over the dataflow fixture, where its
+// escape rule and its call-site rule both fire.
 func TestArenaescape(t *testing.T) {
-	analysistest.Run(t, filepath.Join("testdata", "src", "arenaescape"), lint.Arenaescape)
+	analysistest.Run(t, filepath.Join("testdata", "src", "arenaescape"), lint.Arenaretain)
 }
 
 // moduleRoot walks up from the test's working directory to go.mod.
@@ -91,18 +95,16 @@ func TestRepositoryIsClean(t *testing.T) {
 
 // TestFixturesFailTheDriver mirrors the acceptance criterion: the
 // driver (with allow-directive handling active) must exit non-zero on
-// every analyzer fixture, proving the gate actually bites.
+// every analyzer's fixture, proving the gate actually bites. It walks
+// the roster itself, so an analyzer without a fixture fails here.
 func TestFixturesFailTheDriver(t *testing.T) {
-	names := []string{
-		"detmap", "wallclock", "ctxerrorder", "metricname", "arenaretain",
-		"cellmap", "wallclock2", "lockheld", "durableerr", "arenaescape",
-	}
-	for _, name := range names {
+	for _, a := range lint.All() {
+		name := a.Name
 		t.Run(name, func(t *testing.T) {
 			var out strings.Builder
-			// The /... suffix pulls in fixture helper subpackages
-			// (wallclock2/clockutil) so the call graph sees the full
-			// chain; flat fixtures load identically either way.
+			// The /... suffix pulls in fixture helper subpackages so the
+			// call graph sees the full chain; flat fixtures load
+			// identically either way.
 			n, err := lint.Run(&out, lint.All(), []string{filepath.Join("testdata", "src", name) + "/..."})
 			if err != nil {
 				t.Fatalf("driver error: %v", err)
@@ -152,31 +154,36 @@ func TestAllowDirectiveHandling(t *testing.T) {
 	}
 }
 
-// TestWallclockBlindSpot is the acceptance case for wallclock2: the
-// fixture's clock reads sit two helper calls away in a subpackage, and
-// wallclock — which scans this fixture, by explicit opt-in — cannot
-// connect them to the entry functions. The direct-call analyzer must
-// stay silent on the exact tree where the transitive analyzer fires;
-// if wallclock ever starts reporting here, the fixture no longer
-// demonstrates the blind spot and must be rethought.
+// TestWallclockBlindSpot pins the two halves of wallclock on the
+// helper-chain fixture, whose clock reads sit two helper calls away in
+// the clockutil subpackage. The direct rule — which scans this fixture
+// by explicit opt-in — must report nothing: if it ever does, the
+// fixture no longer demonstrates the blind spot and must be rethought.
+// The transitive rule must report every in-scope hop, each with the
+// witness chain through clockutil down to the clock read.
 func TestWallclockBlindSpot(t *testing.T) {
 	var out strings.Builder
-	_, err := lint.Run(&out, lint.All(), []string{filepath.Join("testdata", "src", "wallclock2") + "/..."})
+	n, err := lint.Run(&out, lint.All(), []string{filepath.Join("testdata", "src", "wallclock2") + "/..."})
 	if err != nil {
 		t.Fatalf("driver error: %v", err)
 	}
 	got := out.String()
-	if strings.Contains(got, "[wallclock]") {
-		t.Errorf("wallclock reported in the wallclock2 fixture; the blind-spot demonstration is broken:\n%s", got)
+	if n != 2 {
+		t.Errorf("got %d findings, want 2 (simulate, warmStamp):\n%s", n, got)
 	}
-	if !strings.Contains(got, "[wallclock2]") {
-		t.Errorf("wallclock2 found nothing in its own fixture:\n%s", got)
+	for _, line := range strings.Split(strings.TrimSpace(got), "\n") {
+		if !strings.HasSuffix(line, "[wallclock]") || !strings.Contains(line, "transitively reads the wall clock") {
+			t.Errorf("not a transitive wallclock finding (the direct rule must stay silent here): %s", line)
+		}
+		if !strings.Contains(line, "clockutil.Stamp → clockutil.now → time.Now") {
+			t.Errorf("finding lacks the clockutil witness chain: %s", line)
+		}
 	}
 }
 
 // TestAllowMultiEdgeCases drives the allowmulti fixture, where
-// wallclock and wallclock2 fire on the same lines: a directive per
-// analyzer silences a paired line, a lone wallclock2 allow leaves the
+// wallclock and arenaretain fire on the same lines: a directive per
+// analyzer silences a paired line, a lone arenaretain allow leaves the
 // wallclock finding standing, a wrong analyzer name suppresses nothing
 // and is reported stale, and a directive stranded two lines above its
 // finding is out of range.
@@ -187,8 +194,8 @@ func TestAllowMultiEdgeCases(t *testing.T) {
 		t.Fatalf("driver error: %v", err)
 	}
 	got := out.String()
-	if strings.Contains(got, "[wallclock2]") {
-		t.Errorf("a wallclock2 finding survived its allow directive:\n%s", got)
+	if strings.Contains(got, "[arenaretain]") {
+		t.Errorf("an arenaretain finding survived its allow directive:\n%s", got)
 	}
 	if c := strings.Count(got, "[wallclock]"); c != 3 {
 		t.Errorf("got %d wallclock findings, want 3 (pairOneMissing, wrongName, stacked):\n%s", c, got)
@@ -229,13 +236,14 @@ func TestRunJSON(t *testing.T) {
 	}
 }
 
-// TestAnalyzerMetadata pins the suite composition: ten analyzers with
-// stable names, each documented — the names are part of the allow
-// directive syntax, so renaming one silently breaks suppressions.
+// TestAnalyzerMetadata pins the suite composition: eight analyzers, one
+// per contract, with stable names, each documented — the names are
+// part of the allow directive syntax, so renaming one silently breaks
+// suppressions.
 func TestAnalyzerMetadata(t *testing.T) {
 	want := []string{
 		"detmap", "wallclock", "ctxerrorder", "metricname", "arenaretain",
-		"cellmap", "wallclock2", "lockheld", "durableerr", "arenaescape",
+		"cellmap", "lockheld", "durableerr",
 	}
 	all := lint.All()
 	if len(all) != len(want) {

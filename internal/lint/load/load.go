@@ -3,12 +3,12 @@
 //
 // It is built entirely from the standard library: go/build selects the
 // files that belong to the package on this platform (honoring build
-// constraints), go/parser produces the syntax trees, and go/types with
-// the stdlib source importer resolves every import — including
-// module-local ones, which go/build locates by consulting the go
-// command. This keeps reprolint working in the proxy-less build
-// container where golang.org/x/tools/go/packages is unavailable
-// (DESIGN.md §10).
+// constraints), go/parser produces the syntax trees, and go/types
+// checks them. Module-local imports resolve to the packages the same
+// Load call has already checked (loading them on first use); only
+// non-module paths go to the stdlib source importer. This keeps
+// reprolint working in the proxy-less build container where
+// golang.org/x/tools/go/packages is unavailable (DESIGN.md §10).
 package load
 
 import (
@@ -71,12 +71,16 @@ func Load(patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	// One shared source importer: every dependency is type-checked at
-	// most once per Load call.
-	imp := importer.ForCompiler(fset, "source", nil)
+	l := &loader{
+		fset:    fset,
+		std:     importer.ForCompiler(fset, "source", nil),
+		modRoot: modRoot,
+		modPath: modPath,
+		memo:    map[string]*Package{},
+	}
 	var pkgs []*Package
 	for _, dir := range dirs {
-		pkg, err := loadDir(fset, imp, modRoot, modPath, dir)
+		pkg, err := l.loadDir(dir)
 		if err != nil {
 			return nil, err
 		}
@@ -85,6 +89,38 @@ func Load(patterns ...string) ([]*Package, error) {
 		}
 	}
 	return pkgs, nil
+}
+
+// loader type-checks every package at most once per Load call: a
+// module package is checked the first time it is needed, as a pattern
+// root or as another package's import, and memoized by directory;
+// every other import goes to the shared stdlib source importer, which
+// keeps its own cache.
+type loader struct {
+	fset             *token.FileSet
+	std              types.Importer
+	modRoot, modPath string
+	memo             map[string]*Package // dir → package; nil while being checked
+}
+
+// Import implements types.Importer.
+func (l *loader) Import(path string) (*types.Package, error) {
+	rel, ok := strings.CutPrefix(path, l.modPath)
+	if !ok || (rel != "" && rel[0] != '/') {
+		return l.std.Import(path)
+	}
+	dir := filepath.Join(l.modRoot, filepath.FromSlash(rel))
+	if pkg, seen := l.memo[dir]; seen && pkg == nil {
+		return nil, fmt.Errorf("load: import cycle through %s", path)
+	}
+	pkg, err := l.loadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	if pkg == nil {
+		return nil, fmt.Errorf("load: no Go files for %s in %s", path, dir)
+	}
+	return pkg.Types, nil
 }
 
 // findModule walks upward from dir to the enclosing go.mod and returns
@@ -166,7 +202,10 @@ func expand(cwd string, patterns []string) ([]string, error) {
 
 // loadDir parses and type-checks the package in dir, or returns
 // (nil, nil) when the directory holds no non-test Go files.
-func loadDir(fset *token.FileSet, imp types.Importer, modRoot, modPath, dir string) (*Package, error) {
+func (l *loader) loadDir(dir string) (*Package, error) {
+	if pkg, ok := l.memo[dir]; ok && pkg != nil {
+		return pkg, nil
+	}
 	bp, err := build.Default.ImportDir(dir, 0)
 	if err != nil {
 		if _, ok := err.(*build.NoGoError); ok {
@@ -176,7 +215,7 @@ func loadDir(fset *token.FileSet, imp types.Importer, modRoot, modPath, dir stri
 	}
 	var files []*ast.File
 	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("load: %w", err)
 		}
@@ -186,9 +225,9 @@ func loadDir(fset *token.FileSet, imp types.Importer, modRoot, modPath, dir stri
 		return nil, nil
 	}
 
-	pkgPath := modPath
-	if rel, err := filepath.Rel(modRoot, dir); err == nil && rel != "." {
-		pkgPath = modPath + "/" + filepath.ToSlash(rel)
+	pkgPath := l.modPath
+	if rel, err := filepath.Rel(l.modRoot, dir); err == nil && rel != "." {
+		pkgPath = l.modPath + "/" + filepath.ToSlash(rel)
 	}
 
 	info := &types.Info{
@@ -197,17 +236,20 @@ func loadDir(fset *token.FileSet, imp types.Importer, modRoot, modPath, dir stri
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(pkgPath, fset, files, info)
+	l.memo[dir] = nil
+	conf := types.Config{Importer: l}
+	tpkg, err := conf.Check(pkgPath, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("load: type-checking %s: %w", pkgPath, err)
 	}
-	return &Package{
+	pkg := &Package{
 		PkgPath:   pkgPath,
 		Dir:       dir,
-		Fset:      fset,
+		Fset:      l.fset,
 		Syntax:    files,
 		Types:     tpkg,
 		TypesInfo: info,
-	}, nil
+	}
+	l.memo[dir] = pkg
+	return pkg, nil
 }

@@ -1,30 +1,29 @@
 // Package allowmulti exercises //reprolint:allow edge cases across two
-// analyzers that can fire on the same line: wallclock (direct time.Now)
-// and wallclock2 (transitive reach via clockdeep.Stamp). The driver
-// test pins the exact findings: one allow per analyzer fully silences a
-// paired line, a lone allow leaves the other analyzer's finding
-// standing, a wrong analyzer name suppresses nothing and is itself
-// reported stale, and an allow two lines above its finding does not
-// reach.
+// analyzers that can fire on the same line: wallclock (time.Now) and
+// arenaretain (the (*hv.System).Log seam). The driver test pins the
+// exact findings: one allow per analyzer fully silences a paired line,
+// a lone allow leaves the other analyzer's finding standing, a wrong
+// analyzer name suppresses nothing and is itself reported stale, and
+// an allow two lines above its finding does not reach.
 package allowmulti
 
 import (
 	"time"
 
-	"repro/internal/lint/testdata/src/allowmulti/clockdeep"
+	"repro/internal/hv"
 )
 
 // pairSuppressed: both analyzers fire on one line; each needs its own
 // directive, and both directives count as used.
-func pairSuppressed() int64 {
-	//reprolint:allow wallclock fixture: operator-facing stamp, paired with the inline wallclock2 allow
-	return time.Now().UnixNano() + clockdeep.Stamp() //reprolint:allow wallclock2 fixture: same line, other analyzer
+func pairSuppressed(sys *hv.System) int64 {
+	//reprolint:allow wallclock fixture: operator-facing stamp, paired with the inline arenaretain allow
+	return time.Now().UnixNano() + int64(sys.Log().Len()) //reprolint:allow arenaretain fixture: same line, other analyzer
 }
 
-// pairOneMissing: only the transitive finding is allowed; the direct
-// time.Now still surfaces as a wallclock finding.
-func pairOneMissing() int64 {
-	return time.Now().UnixNano() + clockdeep.Stamp() //reprolint:allow wallclock2 fixture: direct call left for wallclock
+// pairOneMissing: only the arena read is allowed; the time.Now still
+// surfaces as a wallclock finding.
+func pairOneMissing(sys *hv.System) int64 {
+	return time.Now().UnixNano() + int64(sys.Log().Len()) //reprolint:allow arenaretain fixture: clock read left for wallclock
 }
 
 // wrongName: the directive names an analyzer that has no finding here,

@@ -1,8 +1,8 @@
-// Package arenaescape is the analysistest fixture for the arena escape
-// analyzer: values aliasing arena-owned memory (core.Report results,
-// (*hv.System).Log records, and anything derived from them through
-// helper returns, selection, or composite-literal laundering) must not
-// be stored anywhere that outlives the arena's next Reset.
+// Package arenaescape is the dataflow fixture for arenaretain's escape
+// rule: values aliasing arena-owned memory (core.Report results,
+// (*hv.System).Log records, anything derived from them through helper
+// returns, selection or composite-literal laundering) must not be stored
+// past the arena's next Reset. The call-site rule fires on every seam.
 package arenaescape
 
 import (
@@ -21,13 +21,13 @@ var latest *core.Result
 // alias returns arena-owned memory; callers inherit the taint through
 // the Arena summary.
 func alias(sys *hv.System) *core.Result {
-	return core.Report(sys)
+	return core.Report(sys) // want `use core\.ReportOwned`
 }
 
-// fieldStore is the acceptance case arenaretain provably misses: no
-// core.Report or Log call appears here at all — the alias arrives
-// through a helper return and a local variable before landing in a
-// struct field.
+// fieldStore is the acceptance case the call-site rule provably
+// misses: no core.Report or Log call appears here at all — the alias
+// arrives through a helper return and a local variable before landing
+// in a struct field.
 func fieldStore(h *holder, sys *hv.System) {
 	r := alias(sys)
 	h.res = r // want `stored into struct field res`
@@ -40,19 +40,19 @@ func globalStore(sys *hv.System) {
 
 // mapStore and chanStore: containers with indefinite lifetime.
 func mapStore(sys *hv.System, idx map[string][]tracerec.Record) {
-	idx["last"] = sys.Log().Records // want `map entry`
+	idx["last"] = sys.Log().Records // want `map entry` `arena-owned records`
 }
 
 func chanStore(sys *hv.System, out chan []tracerec.Record) {
-	out <- sys.Log().Records // want `a channel`
+	out <- sys.Log().Records // want `a channel` `arena-owned records`
 }
 
 // laundered: the alias hides inside a composite literal in a local
 // struct before the field store — the laundering path the dataflow
 // pass exists to follow.
 func laundered(h *holder, sys *hv.System) {
-	wrapped := holder{recs: sys.Log().Records}
-	h.recs = wrapped.recs // want `stored into struct field recs`
+	wrapped := holder{recs: sys.Log().Records} // want `arena-owned records`
+	h.recs = wrapped.recs                      // want `stored into struct field recs`
 }
 
 // owned: the deep copy is the sanctioned path out of the arena.
@@ -61,8 +61,8 @@ func owned(h *holder, sys *hv.System) {
 }
 
 // localOnly: an alias that never escapes the call is borrowing as
-// designed.
+// designed (the call-site rule still asks for a reasoned allow).
 func localOnly(sys *hv.System) int {
-	recs := sys.Log().Records
+	recs := sys.Log().Records // want `arena-owned records`
 	return len(recs)
 }

@@ -1,7 +1,7 @@
 // Package clockutil stands in for an out-of-scope helper package: the
 // wall-clock read lives here, two hops from the fixture entry package,
-// where the direct-call wallclock analyzer never connects it to the
-// callers it taints.
+// where wallclock's direct rule never connects it to the callers it
+// taints.
 package clockutil
 
 import "time"

@@ -1,10 +1,10 @@
-// Package wallclock2 is the analysistest fixture for the
-// interprocedural wall-clock analyzer. No direct time call appears
-// anywhere in this package — the clock read sits two helpers away in
-// the clockutil subpackage, which stands in for an out-of-scope helper
-// package. The direct-call wallclock analyzer scans this package and
-// provably finds nothing (a test pins that blind spot); wallclock2
-// follows the call graph and flags every hop in reporting scope.
+// Package wallclock2 is the helper-chain fixture for wallclock's
+// transitive rule. No direct time call appears anywhere in this
+// package — the clock read sits two helpers away in the clockutil
+// subpackage, which stands in for an out-of-scope helper package. The
+// direct rule scans this package and provably finds nothing (a test
+// pins that blind spot); the transitive rule follows the call graph
+// and flags every hop in reporting scope.
 package wallclock2
 
 import "repro/internal/lint/testdata/src/wallclock2/clockutil"
@@ -29,7 +29,7 @@ func fold(x int64) int64 { return x + 1 }
 // callers of allowedStamp stay clean instead of inheriting the taint
 // one level up.
 func allowedStamp() int64 {
-	//reprolint:allow wallclock2 fixture: operator-facing timestamp, not part of result bytes
+	//reprolint:allow wallclock fixture: operator-facing timestamp, not part of result bytes
 	return clockutil.Stamp()
 }
 

@@ -1,42 +1,13 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
+	"strings"
 
 	"repro/internal/lint/analysis"
+	"repro/internal/lint/interproc"
 )
-
-// wallclockAllow lists the operational packages where real time and
-// jittered randomness are the point: the serve daemon and its client
-// (timeouts, backoff), the cluster layer (heartbeats, probe timeouts,
-// hedging budgets), the disk store (mtimes), the worker pool, and
-// the metrics layer (latency observation). Everything else under
-// internal/ is simulation or analysis code, where wall-clock reads and
-// global math/rand would leak host state into supposedly seeded,
-// reproducible results.
-var wallclockAllow = []string{
-	modulePath + "/internal/serve",
-	modulePath + "/internal/store",
-	modulePath + "/internal/runner",
-	modulePath + "/internal/metrics",
-	modulePath + "/internal/cluster",
-}
-
-// wallclockTimeFuncs are the time package entry points that read or
-// wait on the host clock.
-var wallclockTimeFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true,
-	"AfterFunc": true,
-}
-
-// wallclockRandOK are the math/rand constructors: a locally seeded
-// *rand.Rand is deterministic, so only the implicitly seeded global
-// functions are forbidden.
-var wallclockRandOK = map[string]bool{
-	"New": true, "NewSource": true, "NewPCG": true, "NewChaCha8": true,
-	"NewZipf": true,
-}
 
 // Wallclock forbids host-clock reads (time.Now, time.Since, ...) and
 // global math/rand calls in simulation packages. Simulated time comes
@@ -44,24 +15,37 @@ var wallclockRandOK = map[string]bool{
 // randomness from internal/rng (seeded PCG streams, part of the cache
 // key); a wall-clock read in a sim path makes the same (scenario,
 // seed, revision) triple produce different bytes on different hosts.
+//
+// It has two rules over one table of base facts (interproc.BaseClock).
+// The direct rule flags a call to a base fact itself. The transitive
+// rule flags a call whose callee's propagated Clock summary is set —
+// a time.Now two helpers deep in another package taints every caller
+// but appears in no caller's own statements — and names the witness
+// chain. Everything under internal/ is in scope except the operational
+// packages (interproc.OperationalClockPkgs), which are also a
+// propagation boundary: calls into them never taint a caller.
 var Wallclock = &analysis.Analyzer{
 	Name: "wallclock",
-	Doc: "forbids time.Now/time.Since/global math/rand in simulation packages; " +
-		"use internal/simtime and internal/rng (operational packages " +
-		"internal/serve, internal/store, internal/runner, internal/metrics, " +
-		"internal/cluster are allowlisted)",
+	Doc: "forbids calls in simulation packages that read time.Now/time.Since/global " +
+		"math/rand directly or reach them through any helper chain; use internal/simtime " +
+		"and internal/rng (operational packages internal/serve, internal/store, " +
+		"internal/runner, internal/metrics, internal/cluster are allowlisted)",
 	Run: runWallclock,
 }
 
 func runWallclock(pass *analysis.Pass) (interface{}, error) {
+	mod, ok := pass.Module.(*interproc.Module)
+	if !ok {
+		return nil, fmt.Errorf("wallclock needs the interprocedural module summaries (driver did not set Pass.Module)")
+	}
 	path := pass.Pkg.Path()
 	inScope := pkgMatches(path, []string{modulePath + "/internal"}) &&
-		!pkgMatches(path, wallclockAllow) && !isAnyFixture(path)
-	// Beyond its own fixture, this analyzer opts into three more: the
-	// wallclock2 fixture entry package (a test pins that the direct-call
-	// check finds nothing there — the clock read is a helper chain away,
-	// exactly the blind spot wallclock2 closes) and the allow-directive
-	// fixtures, whose suppressed findings are wallclock findings.
+		!pkgMatches(path, interproc.OperationalClockPkgs) && !isAnyFixture(path)
+	// Beyond its own fixture, this analyzer opts into the helper-chain
+	// fixture's entry package (its clockutil subpackage stands in for an
+	// out-of-scope helper package, the shape of the real-world miss) and
+	// the allow-directive fixtures, whose suppressed findings are
+	// wallclock findings.
 	if !inScope && !isFixtureFor(path, "wallclock") && !isFixtureFor(path, "wallclock2") &&
 		!isFixtureFor(path, "allowlint") && !isFixtureFor(path, "allowmulti") {
 		return nil, nil
@@ -72,28 +56,21 @@ func runWallclock(pass *analysis.Pass) (interface{}, error) {
 			if !ok {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			pkgPath, ok := pkgNameOf(pass, sel.X)
-			if !ok {
-				return true
-			}
-			name := sel.Sel.Name
-			switch pkgPath {
-			case "time":
-				if wallclockTimeFuncs[name] {
-					pass.Reportf(call.Pos(),
-						"wall-clock time.%s in simulation package %s; use internal/simtime (simulated cycles) — real time must not reach deterministic results",
-						name, path)
-				}
-			case "math/rand", "math/rand/v2":
-				if !wallclockRandOK[name] {
-					pass.Reportf(call.Pos(),
-						"global %s.%s in simulation package %s; use internal/rng seeded streams — implicit global seeding breaks run identity",
-						pkgPath, name, path)
-				}
+			key := interproc.CalleeOf(pass.TypesInfo, call)
+			switch {
+			case interproc.BaseClock(key) && strings.HasPrefix(key, "time."):
+				pass.Reportf(call.Pos(),
+					"wall-clock %s in simulation package %s; use internal/simtime (simulated cycles) — real time must not reach deterministic results",
+					key, path)
+			case interproc.BaseClock(key):
+				pass.Reportf(call.Pos(),
+					"global %s in simulation package %s; use internal/rng seeded streams — implicit global seeding breaks run identity",
+					key, path)
+			case mod.ClockTainted(key):
+				pass.Reportf(call.Pos(),
+					"call to %s transitively reads the wall clock (%s) in simulation package %s; "+
+						"real time must not reach deterministic results",
+					interproc.Short(key), mod.ClockChain(key), path)
 			}
 			return true
 		})
