@@ -28,12 +28,14 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
-# Regenerate BENCH_PR7.json (timings, allocations, headline metrics,
-# sequential-vs-parallel sweep wall clock, warm-vs-cold campaign
-# cells/sec, serve-daemon cold/hit/429 split, warm-restart recovery
-# latency).
+# Regenerate the committed bench evidence (timings, allocations and GC
+# cycles per op, headline metrics, sequential-vs-parallel sweep wall
+# clock, warm-vs-cold campaign cells/sec, serve-daemon cold/hit/429
+# split, warm-restart recovery latency). Name a new file per change:
+# make bench-report BENCH_OUT=BENCH_PRn.json
+BENCH_OUT ?= BENCH_PR15.json
 bench-report:
-	$(GO) run ./cmd/bench -o BENCH_PR7.json
+	$(GO) run ./cmd/bench -o $(BENCH_OUT)
 
 # Kill–restart recovery harness: SIGKILL a real daemon mid-campaign,
 # restart it, assert no acked job lost and no divergent bytes.

@@ -15,7 +15,7 @@
 //
 // Usage:
 //
-//	bench [-o BENCH_PR7.json] [-events N] [-workers N] [-samples N] [-quick]
+//	bench -o BENCH_PRn.json|- [-events N] [-workers N] [-samples N] [-quick]
 package main
 
 import (
@@ -25,6 +25,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"testing"
 	"time"
 
@@ -43,12 +44,15 @@ import (
 
 // benchEntry is one benchmark's timing plus the domain metrics it
 // reproduces (the b.ReportMetric values of the equivalent bench_test.go
-// benchmark).
+// benchmark). GC cycles per op sit next to allocs/op: a collection that
+// overlaps a run perturbs its timing (write barriers, mark assists) even
+// when the allocation count is unchanged.
 type benchEntry struct {
-	NsPerOp     int64              `json:"ns_per_op"`
-	AllocsPerOp int64              `json:"allocs_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	NsPerOp       int64              `json:"ns_per_op"`
+	AllocsPerOp   int64              `json:"allocs_per_op"`
+	GCCyclesPerOp float64            `json:"gc_cycles_per_op"`
+	BytesPerOp    int64              `json:"bytes_per_op"`
+	Metrics       map[string]float64 `json:"metrics,omitempty"`
 }
 
 type sweepTiming struct {
@@ -94,12 +98,16 @@ type report struct {
 }
 
 func main() {
-	out := flag.String("o", "BENCH_PR7.json", "output file (- for stdout)")
+	out := flag.String("o", "", "output file, e.g. BENCH_PRn.json (- for stdout); required")
 	events := flag.Int("events", 1500, "IRQs per sweep point for the wall-clock comparison")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker count for the parallel wall-clock run")
 	samples := flag.Int("samples", 3, "per-benchmark repetitions; min-of-N is reported")
 	quick := flag.Bool("quick", false, "reduced sizes for CI regression gating (scripts/benchdiff.sh)")
 	flag.Parse()
+	if *out == "" {
+		fmt.Fprintln(os.Stderr, "bench: -o is required (a BENCH_*.json name, or - for stdout)")
+		os.Exit(2)
+	}
 	if *quick {
 		*events = 400
 		if *samples > 2 {
@@ -169,15 +177,21 @@ func main() {
 func runN(n int, fn func(b *testing.B)) benchEntry {
 	var e benchEntry
 	for s := 0; s < n; s++ {
+		// testing.Benchmark reports its last, largest-b.N invocation,
+		// so the last invocation's GC count is the one that matches.
+		var gcPerOp float64
 		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
+			gc0 := gcCycles()
 			fn(b)
+			gcPerOp = float64(gcCycles()-gc0) / float64(b.N)
 		})
 		if s == 0 {
 			e = benchEntry{
-				NsPerOp:     res.NsPerOp(),
-				AllocsPerOp: res.AllocsPerOp(),
-				BytesPerOp:  res.AllocedBytesPerOp(),
+				NsPerOp:       res.NsPerOp(),
+				AllocsPerOp:   res.AllocsPerOp(),
+				GCCyclesPerOp: gcPerOp,
+				BytesPerOp:    res.AllocedBytesPerOp(),
 			}
 			if len(res.Extra) > 0 {
 				e.Metrics = map[string]float64{}
@@ -189,9 +203,18 @@ func runN(n int, fn func(b *testing.B)) benchEntry {
 		}
 		e.NsPerOp = min(e.NsPerOp, res.NsPerOp())
 		e.AllocsPerOp = min(e.AllocsPerOp, res.AllocsPerOp())
+		e.GCCyclesPerOp = min(e.GCCyclesPerOp, gcPerOp)
 		e.BytesPerOp = min(e.BytesPerOp, res.AllocedBytesPerOp())
 	}
 	return e
+}
+
+// gcCycles returns the number of GC cycles completed so far, read
+// without stopping the world.
+func gcCycles() uint64 {
+	s := []rtmetrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+	rtmetrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 func benchFig6Cfg() experiments.Fig6Config {

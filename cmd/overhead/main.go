@@ -19,7 +19,7 @@ import (
 
 func main() {
 	events := flag.Int("events", 5000, "IRQs per interrupt load")
-	workers := flag.Int("workers", runner.Default(), "worker pool size for the per-load baseline/monitored pairs (1 = sequential; output is identical)")
+	workers := flag.Int("workers", runner.Default(), "worker pool size for the per-load baseline and monitored runs (1 = sequential; output is identical)")
 	flag.Parse()
 
 	cfg := experiments.DefaultFig6()

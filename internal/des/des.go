@@ -14,10 +14,18 @@
 // restructuring the heap. Consequence of the freelist: an *Event handle
 // is only valid until the event fires or is skipped after cancellation —
 // holders must not retain it past that point (see Cancel).
+//
+// The heap and the freelist hold uint32 indices into a per-simulator
+// slab of *Event, never the pointers themselves. Sifting, popping and
+// recycling therefore move pointer-free words, which the Go collector
+// neither scans nor guards with write barriers; a figure run that
+// overlaps several GC cycles would otherwise pay a barrier on every
+// heap move (DESIGN.md §11).
 package des
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/simtime"
 )
@@ -30,10 +38,11 @@ import (
 type Event struct {
 	when     simtime.Time
 	seq      uint64
-	queued   bool
-	canceled bool
 	fn       func()
 	label    string
+	idx      uint32 // slot in the owning simulator's slab
+	queued   bool
+	canceled bool
 }
 
 // Time returns the timestamp the event is (or was) scheduled for.
@@ -52,8 +61,9 @@ type Simulator struct {
 	queue   eventHeap
 	seq     uint64
 	fired   uint64
-	live    int // queued events that are not canceled
-	free    []*Event
+	live    int      // queued events that are not canceled
+	slab    []*Event // every Event struct this simulator allocated, by idx
+	free    []uint32 // slab indices of recyclable events
 	running bool
 	savers  []StateSaver // model state captured by Snapshot (snapshot.go)
 }
@@ -88,7 +98,7 @@ func (s *Simulator) At(t simtime.Time, label string, fn func()) *Event {
 	e.queued = true
 	s.seq++
 	s.live++
-	s.queue.push(heapEntry{when: e.when, seq: e.seq, ev: e})
+	s.queue.push(heapEntry{when: e.when, seq: e.seq, idx: e.idx})
 	return e
 }
 
@@ -114,21 +124,25 @@ func (s *Simulator) Cancel(e *Event) {
 	s.live--
 }
 
-// acquire takes an Event struct from the freelist, or allocates one.
-// Fields are reset here (on acquire, not on release) so that a handle
-// to a fired or canceled event keeps answering Time/Canceled/Label
-// until the struct is actually reused.
+// acquire takes an Event struct from the freelist, or allocates one and
+// gives it the next slab slot. Fields are reset here (on acquire, not on
+// release) so that a handle to a fired or canceled event keeps
+// answering Time/Canceled/Label until the struct is actually reused.
 func (s *Simulator) acquire() *Event {
 	if n := len(s.free); n > 0 {
-		e := s.free[n-1]
-		s.free[n-1] = nil
+		e := s.slab[s.free[n-1]]
 		s.free = s.free[:n-1]
 		// Every other field is overwritten by At; only the cancel mark
 		// must be cleared explicitly.
 		e.canceled = false
 		return e
 	}
-	return &Event{}
+	if len(s.slab) == math.MaxUint32 {
+		panic("des: more than 2^32-1 events allocated")
+	}
+	e := &Event{idx: uint32(len(s.slab))}
+	s.slab = append(s.slab, e)
+	return e
 }
 
 // release returns a popped event to the freelist. The closure reference
@@ -136,7 +150,7 @@ func (s *Simulator) acquire() *Event {
 func (s *Simulator) release(e *Event) {
 	e.fn = nil
 	e.queued = false
-	s.free = append(s.free, e)
+	s.free = append(s.free, e.idx)
 }
 
 // Step fires the earliest pending event and advances the clock to it.
@@ -144,7 +158,7 @@ func (s *Simulator) release(e *Event) {
 func (s *Simulator) Step() bool {
 	for s.queue.len() > 0 {
 		ent := s.queue.pop()
-		e := ent.ev
+		e := s.slab[ent.idx]
 		if e.canceled {
 			s.release(e)
 			continue
@@ -173,17 +187,18 @@ func (s *Simulator) RunUntil(horizon simtime.Time) {
 	defer func() { s.running = false }()
 	for s.queue.len() > 0 {
 		top := s.queue.a[0]
-		if top.ev.canceled {
+		e := s.slab[top.idx]
+		if e.canceled {
 			// Reclaim lazily-canceled heads even past the horizon;
 			// they cost nothing to fire-skip now.
-			s.release(s.queue.pop().ev)
+			s.queue.pop()
+			s.release(e)
 			continue
 		}
 		if top.when > horizon {
 			break
 		}
 		ent := s.queue.pop()
-		e := ent.ev
 		e.queued = false
 		s.now = ent.when
 		s.fired++
@@ -224,20 +239,21 @@ func (s *Simulator) Reset() {
 // recycleQueue releases every queued event (canceled or not) back to the
 // freelist and empties the heap, keeping its capacity.
 func (s *Simulator) recycleQueue() {
-	for i := range s.queue.a {
-		s.release(s.queue.a[i].ev)
-		s.queue.a[i] = heapEntry{}
+	for _, ent := range s.queue.a {
+		s.release(s.slab[ent.idx])
 	}
 	s.queue.a = s.queue.a[:0]
 	s.live = 0
 }
 
 // heapEntry is one queued event with its ordering key stored inline, so
-// sift operations compare without chasing the Event pointer.
+// sift operations compare without chasing the Event pointer. It names
+// the event by slab index and must stay pointer-free (a test guards
+// this): moving it then needs no GC write barrier.
 type heapEntry struct {
 	when simtime.Time
 	seq  uint64
-	ev   *Event
+	idx  uint32
 }
 
 // before is the strict heap order: earliest time first, FIFO within a
@@ -280,7 +296,6 @@ func (h *eventHeap) pop() heapEntry {
 	top := a[0]
 	n := len(a) - 1
 	last := a[n]
-	a[n] = heapEntry{} // release the slot's Event reference
 	a = a[:n]
 	h.a = a
 	if n > 0 {

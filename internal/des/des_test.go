@@ -1,6 +1,7 @@
 package des
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/simtime"
@@ -223,5 +224,47 @@ func TestManyEventsStressOrdering(t *testing.T) {
 	}
 	if count != 1+3+9+27 {
 		t.Fatalf("fired %d events, want 40", count)
+	}
+}
+
+// containsPointer reports whether a value of type t holds a pointer the
+// garbage collector must trace (and guard with write barriers).
+func containsPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice,
+		reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && containsPointer(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if containsPointer(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestHeapEntryIsPointerFree guards the index-heap layout: sifting,
+// popping and recycling move heapEntry values, and those moves are only
+// free of GC write barriers while heapEntry holds no pointer.
+func TestHeapEntryIsPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(heapEntry{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); containsPointer(f.Type) {
+			t.Errorf("heapEntry.%s (%s) is or contains a pointer; name events by slab index instead", f.Name, f.Type)
+		}
+	}
+	if containsPointer(reflect.TypeOf(eventHeap{}.a).Elem()) {
+		t.Error("the event heap's element type contains a pointer")
+	}
+	if containsPointer(reflect.TypeOf(Simulator{}.free).Elem()) {
+		t.Error("the freelist's element type contains a pointer")
+	}
+	// The guard itself must see through nesting.
+	type nested struct{ a [2]struct{ p *Event } }
+	if !containsPointer(reflect.TypeOf(nested{})) {
+		t.Fatal("containsPointer misses a pointer nested in an array of structs")
 	}
 }

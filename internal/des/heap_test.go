@@ -52,7 +52,7 @@ func TestQuickHeapMatchesOracle(t *testing.T) {
 			// Compress the time range so duplicate timestamps (the
 			// FIFO tie-break path) occur frequently.
 			when := simtime.Time(raw % 64)
-			h.push(heapEntry{when: when, seq: seq, ev: &Event{}})
+			h.push(heapEntry{when: when, seq: seq, idx: uint32(i)})
 			heap.Push(&o, oracleEntry{when: when, seq: seq})
 			seq++
 			if i%step == step-1 {

@@ -108,11 +108,12 @@ func (s *Simulator) Snapshot() *Snapshot {
 		tokens:  make(map[*Event]uint64, s.live),
 	}
 	for _, ent := range s.queue.a {
-		if ent.ev.canceled {
+		e := s.slab[ent.idx]
+		if e.canceled {
 			continue
 		}
-		sn.entries = append(sn.entries, entSnap{when: ent.when, seq: ent.seq, label: ent.ev.label, fn: ent.ev.fn})
-		sn.tokens[ent.ev] = ent.seq
+		sn.entries = append(sn.entries, entSnap{when: ent.when, seq: ent.seq, label: e.label, fn: e.fn})
+		sn.tokens[e] = ent.seq
 	}
 	sort.Slice(sn.entries, func(i, j int) bool {
 		if sn.entries[i].when != sn.entries[j].when {
@@ -151,7 +152,7 @@ func (s *Simulator) Restore(sn *Snapshot) {
 		e.label = es.label
 		e.queued = true
 		s.live++
-		s.queue.push(heapEntry{when: es.when, seq: es.seq, ev: e})
+		s.queue.push(heapEntry{when: es.when, seq: es.seq, idx: e.idx})
 		rs.events[es.seq] = e
 	}
 	for i, sv := range s.savers {

@@ -64,6 +64,26 @@ func (a *SimArena) Build(sc core.Scenario) (*hv.System, error) {
 // core.Run — the equivalence tests and the byte-identity suite hold it
 // to that.
 func (a *SimArena) Run(sc core.Scenario) (*core.Result, error) {
+	sys, err := a.simulate(sc)
+	if err != nil {
+		return nil, err
+	}
+	return core.ReportOwned(sys), nil
+}
+
+// RunStats is Run for callers that read only the system's counters and
+// the simulated duration: it skips Run's owned log copy and summary.
+func (a *SimArena) RunStats(sc core.Scenario) (hv.Stats, simtime.Duration, error) {
+	sys, err := a.simulate(sc)
+	if err != nil {
+		return hv.Stats{}, 0, err
+	}
+	return sys.Stats(), sys.Now().Sub(0), nil
+}
+
+// simulate builds sc in the arena, runs it to completion and checks the
+// system's invariants. The returned system is arena-owned.
+func (a *SimArena) simulate(sc core.Scenario) (*hv.System, error) {
 	sys, err := a.Build(sc)
 	if err != nil {
 		return nil, err
@@ -74,7 +94,7 @@ func (a *SimArena) Run(sc core.Scenario) (*core.Result, error) {
 	if err := sys.CheckInvariants(); err != nil {
 		return nil, err
 	}
-	return core.ReportOwned(sys), nil
+	return sys, nil
 }
 
 // RunMany is core.RunMany on arenas: one SimArena per pool worker, so a
@@ -107,14 +127,8 @@ type Campaign struct {
 // pinned to the campaign: using it for other runs invalidates the
 // campaign, not the other way around.
 func (a *SimArena) ForkCampaign(sc core.Scenario) (*Campaign, error) {
-	sys, err := a.Build(sc)
+	sys, err := a.simulate(sc)
 	if err != nil {
-		return nil, err
-	}
-	if err := sys.RunToCompletion(core.Horizon(sc)); err != nil {
-		return nil, err
-	}
-	if err := sys.CheckInvariants(); err != nil {
 		return nil, err
 	}
 	sn, err := sys.Snapshot()

@@ -71,8 +71,8 @@ func Overhead(cfg Fig6Config) (*OverheadResult, error) {
 }
 
 // OverheadCtx is Overhead with cooperative cancellation: once ctx is
-// done no further per-load baseline/monitored pair starts and the call
-// returns a non-nil error (see runner.MapCtx).
+// done no further baseline or monitored run starts and the call returns
+// a non-nil error (see runner.MapCtx).
 func OverheadCtx(ctx context.Context, cfg Fig6Config) (*OverheadResult, error) {
 	stop := metrics.Timer("overhead")
 	costs := defaultScenario(cfg).CostModel()
@@ -94,47 +94,56 @@ func OverheadCtx(ctx context.Context, cfg Fig6Config) (*OverheadResult, error) {
 	}
 
 	cbhEff := costs.EffectiveBH(cfg.CBH)
-	// One job per load; each job runs its baseline and monitored
-	// simulation back to back on its own workload stream (sharing the
-	// worker's arena), so the pairs fan out across the worker pool with
-	// load-ordered merging.
-	perLoad, err := runner.MapCtxPool(ctx, cfg.Workers, len(cfg.Loads), engine.NewArena, func(a *engine.SimArena, li int) (OverheadLoad, error) {
-		load := cfg.Loads[li]
-		lambda := simtime.FromMicrosF(cbhEff.MicrosF() / load)
+	lambdaOf := func(li int) simtime.Duration {
+		return simtime.FromMicrosF(cbhEff.MicrosF() / cfg.Loads[li])
+	}
+	// One job per (load, mode): job 2·li runs load li's original
+	// hypervisor, job 2·li+1 its modified one on the same rebuilt
+	// arrival stream. Independent runs, rather than back-to-back pairs,
+	// keep every worker busy; each needs only the system's counters.
+	type modeRun struct {
+		stats hv.Stats
+		dur   simtime.Duration
+	}
+	runs, err := runner.MapCtxPool(ctx, cfg.Workers, 2*len(cfg.Loads), engine.NewArena, func(a *engine.SimArena, j int) (modeRun, error) {
+		li, mode, name := j/2, hv.Original, "baseline"
+		if j%2 == 1 {
+			mode, name = hv.Monitored, "monitored"
+		}
+		lambda := lambdaOf(li)
 		src := rng.NewStream(cfg.Seed, uint64(li)+1) //nolint:gosec
-		dist := workload.Exponential(src, lambda, cfg.EventsPerLoad)
-		arrivals := workload.Timestamps(dist)
-
-		run := func(mode hv.Mode) (*core.Result, error) {
-			sc := defaultScenario(cfg)
-			sc.Mode = mode
-			irq := core.IRQSpec{
-				Name: "timer0", Partition: 0,
-				CTH: cfg.CTH, CBH: cfg.CBH, Arrivals: arrivals,
-			}
-			if mode == hv.Monitored {
-				irq.DMin = lambda
-			}
-			sc.IRQs = []core.IRQSpec{irq}
-			return a.Run(sc)
+		irq := core.IRQSpec{
+			Name: "timer0", Partition: 0,
+			CTH: cfg.CTH, CBH: cfg.CBH,
+			Arrivals: workload.Timestamps(workload.Exponential(src, lambda, cfg.EventsPerLoad)),
 		}
-		base, err := run(hv.Original)
+		if mode == hv.Monitored {
+			irq.DMin = lambda
+		}
+		sc := defaultScenario(cfg)
+		sc.Mode = mode
+		sc.IRQs = []core.IRQSpec{irq}
+		st, dur, err := a.RunStats(sc)
 		if err != nil {
-			return OverheadLoad{}, fmt.Errorf("experiments: overhead baseline %.0f%%: %w", 100*load, err)
+			return modeRun{}, fmt.Errorf("experiments: overhead %s %.0f%%: %w", name, 100*cfg.Loads[li], err)
 		}
-		monRes, err := run(hv.Monitored)
-		if err != nil {
-			return OverheadLoad{}, fmt.Errorf("experiments: overhead monitored %.0f%%: %w", 100*load, err)
-		}
+		return modeRun{st, dur}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	perLoad := make([]OverheadLoad, len(cfg.Loads))
+	for li, load := range cfg.Loads {
+		base, monitored := runs[2*li], runs[2*li+1]
 		ol := OverheadLoad{
 			Load:              load,
-			Lambda:            lambda,
-			CtxBaseline:       base.Stats.CtxSwitches,
-			CtxMonitored:      monRes.Stats.CtxSwitches,
-			Grants:            monRes.Stats.InterposedGrants,
-			MonitorTime:       monRes.Stats.MonitorTime,
-			SchedTime:         monRes.Stats.SchedTime,
-			SimulatedDuration: monRes.Duration,
+			Lambda:            lambdaOf(li),
+			CtxBaseline:       base.stats.CtxSwitches,
+			CtxMonitored:      monitored.stats.CtxSwitches,
+			Grants:            monitored.stats.InterposedGrants,
+			MonitorTime:       monitored.stats.MonitorTime,
+			SchedTime:         monitored.stats.SchedTime,
+			SimulatedDuration: monitored.dur,
 		}
 		if ol.CtxBaseline > 0 {
 			ol.IncreasePct = 100 * (float64(ol.CtxMonitored) - float64(ol.CtxBaseline)) / float64(ol.CtxBaseline)
@@ -143,10 +152,7 @@ func OverheadCtx(ctx context.Context, cfg Fig6Config) (*OverheadResult, error) {
 			ol.MonitorTimeShare = float64(ol.MonitorTime) / float64(ol.SimulatedDuration)
 			ol.InterposedPerSec = float64(ol.Grants) / (float64(ol.SimulatedDuration) / float64(simtime.Second))
 		}
-		return ol, nil
-	})
-	if err != nil {
-		return nil, err
+		perLoad[li] = ol
 	}
 	out.PerLoad = perLoad
 	for _, ol := range perLoad {

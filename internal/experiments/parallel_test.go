@@ -73,24 +73,27 @@ func TestFig7ParallelEqualsSequential(t *testing.T) {
 	}
 }
 
+// TestOverheadParallelEqualsSequential runs the (load, mode) fan-out
+// sequentially, on fewer workers than jobs, and on one worker per job.
 func TestOverheadParallelEqualsSequential(t *testing.T) {
 	cfg := DefaultFig6()
 	cfg.EventsPerLoad = 600
 
 	seqCfg := cfg
 	seqCfg.Workers = 1
-	parCfg := cfg
-	parCfg.Workers = parallelWorkers()
-
 	seq, err := Overhead(seqCfg)
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	par, err := Overhead(parCfg)
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("overhead: workers=1 and workers=%d diverge", parCfg.Workers)
+	for _, workers := range []int{2, 2 * len(cfg.Loads)} {
+		parCfg := cfg
+		parCfg.Workers = workers
+		par, err := Overhead(parCfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(seq, par) {
+			t.Errorf("overhead: workers=1 and workers=%d diverge", workers)
+		}
 	}
 }

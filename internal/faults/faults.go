@@ -21,7 +21,7 @@ package faults
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/curves"
 	"repro/internal/rng"
@@ -310,7 +310,7 @@ func Wrap(base []simtime.Time, m Model, src *rng.Source, p Params) []simtime.Tim
 	out := make([]simtime.Time, 0, len(base)+len(adv))
 	out = append(out, base...)
 	out = append(out, adv...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	// Nudge exact collisions apart by one cycle: the engine and the
 	// monitor both require strictly increasing arrival times.
 	for i := 1; i < len(out); i++ {

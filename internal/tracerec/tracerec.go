@@ -11,7 +11,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/simtime"
@@ -106,8 +107,7 @@ func (l *Log) Truncate(n int) {
 }
 
 // Durations returns all latencies in record order. The caller owns the
-// returned slice; Summarize sorts exactly such a slice in place instead
-// of building a second intermediate copy.
+// returned slice.
 func (l *Log) Durations() []simtime.Duration {
 	out := make([]simtime.Duration, len(l.Records))
 	for i, r := range l.Records {
@@ -153,8 +153,10 @@ type Summary struct {
 }
 
 // Summarize computes statistics over the log. It makes exactly one
-// allocation (the latency slice, which doubles as the percentile sort
-// buffer); all sums and mode counts are accumulated in the same pass.
+// allocation (the latency slice, which doubles as the percentile
+// selection buffer); sums, mode counts, min and max are accumulated in
+// the same pass, and the percentiles are order statistics found by
+// quickselect in expected O(n) instead of a full sort.
 func (l *Log) Summarize() Summary {
 	var s Summary
 	s.Count = len(l.Records)
@@ -163,10 +165,14 @@ func (l *Log) Summarize() Summary {
 	}
 	lats := make([]simtime.Duration, s.Count)
 	var total, tDir, tInt, tDel int64
+	s.Min = l.Records[0].Latency()
+	s.Max = s.Min
 	for i, r := range l.Records {
 		lat := r.Latency()
 		lats[i] = lat
 		total += int64(lat)
+		s.Min = min(s.Min, lat)
+		s.Max = max(s.Max, lat)
 		s.ByMode[r.Mode]++
 		switch r.Mode {
 		case Direct:
@@ -177,12 +183,15 @@ func (l *Log) Summarize() Summary {
 			tDel += int64(lat)
 		}
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	s.Min, s.Max = lats[0], lats[len(lats)-1]
 	s.Mean = simtime.Duration(total / int64(s.Count))
-	s.P50 = percentile(lats, 0.50)
-	s.P95 = percentile(lats, 0.95)
-	s.P99 = percentile(lats, 0.99)
+	// Ascending ranks: each selection leaves everything from its rank
+	// on ≥ the selected value, so the next one searches only that tail.
+	k50 := percentileRank(s.Count, 0.50)
+	k95 := percentileRank(s.Count, 0.95)
+	k99 := percentileRank(s.Count, 0.99)
+	s.P50 = selectRank(lats, 0, k50)
+	s.P95 = selectRank(lats, k50, k95)
+	s.P99 = selectRank(lats, k95, k99)
 	if n := s.ByMode[Direct]; n > 0 {
 		s.MeanDirct = simtime.Duration(tDir / int64(n))
 	}
@@ -195,18 +204,53 @@ func (l *Log) Summarize() Summary {
 	return s
 }
 
-func percentile(sorted []simtime.Duration, p float64) simtime.Duration {
-	if len(sorted) == 0 {
-		return 0
+// percentileRank is the 0-based rank of the nearest-rank p-th
+// percentile among n values.
+func percentileRank(n int, p float64) int {
+	return min(max(int(math.Ceil(p*float64(n)))-1, 0), n-1)
+}
+
+// selectRank returns the value of rank k (0-based, ascending) among
+// a[lo:], partially reordering a[lo:] so that a[lo:k] ≤ a[k] ≤ a[k+1:].
+// It is an iterative quickselect with a median-of-three pivot and a
+// three-way partition, so runs of equal latencies (the Fig. 6 direct
+// peak) collapse in one step; past 2·log₂(n) rounds it sorts the
+// remaining range, bounding the worst case at O(n log n).
+func selectRank(a []simtime.Duration, lo, k int) simtime.Duration {
+	hi := len(a) // search range a[lo:hi] holds rank k
+	for rounds := 2 * bits.Len(uint(hi-lo)); hi-lo > 1; rounds-- {
+		if rounds == 0 {
+			slices.Sort(a[lo:hi])
+			break
+		}
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi-1]
+		pivot := max(min(x, y), min(max(x, y), z))
+		// Dutch-flag partition: a[lo:lt] < pivot, a[lt:i] == pivot,
+		// a[gt:hi] > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := a[i]; {
+			case v < pivot:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case v > pivot:
+				gt--
+				a[gt], a[i] = v, a[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return pivot
+		}
 	}
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return a[k]
 }
 
 // Share returns the fraction of records handled in the given mode.

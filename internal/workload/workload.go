@@ -8,7 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/internal/simtime"
@@ -96,7 +96,7 @@ func Merge(streams ...[]simtime.Time) []simtime.Time {
 	for _, s := range streams {
 		out = append(out, s...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -24,7 +24,10 @@
 # identical to the local in-process fold, and the cluster kill oracle
 # (DESIGN.md §13): a 3-node ring loses a SIGKILLed member mid-campaign
 # without losing an acked job or a byte of the aggregate, and a wiped
-# replacement recovers warm via verified peer fetch.
+# replacement recovers warm via verified peer fetch. Last, the
+# benchmark module (perfbench/, its own go.mod, so `./...` skips it) is
+# vetted and unit-tested, and every workload runs briefly: each result
+# line must report correct output and no failed operation.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -44,3 +47,11 @@ sh scripts/diffuzzsmoke.sh
 sh scripts/crashtest.sh
 sh scripts/campaignsmoke.sh
 sh scripts/clusterkill.sh
+(cd perfbench && go vet . && go test .)
+for w in paper_sim campaign_durable serve_mix ring_campaign; do
+	line=$(bash perfbench/run.sh --workload "$w" --seconds 2 --trace 0)
+	case $line in
+	*'"correct":true,'*'"failed":0,'*) ;;
+	*) echo "perfbench $w: output check failed: $line" >&2; exit 1 ;;
+	esac
+done
