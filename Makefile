@@ -28,14 +28,18 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
-# Regenerate the committed bench evidence (timings, allocations and GC
-# cycles per op, headline metrics, sequential-vs-parallel sweep wall
-# clock, warm-vs-cold campaign cells/sec, serve-daemon cold/hit/429
-# split, warm-restart recovery latency). Name a new file per change:
-# make bench-report BENCH_OUT=BENCH_PRn.json
-BENCH_OUT ?= BENCH_PR15.json
+# Regenerate the committed bench evidence: standard `go test -bench`
+# output of the gated benchmarks (plus ArenaThroughput) with ns/op,
+# allocs/op, GC cycles/op and the reproduced headline metrics, pinned
+# to one P with the same flags as scripts/benchdiff.sh so the evidence
+# and the gate measure the same shape. Wall-clock numbers for
+# the sweep, campaign and serve paths come from perfbench/. Name a new
+# file per change: make bench-report BENCH_OUT=BENCH_PRn.txt
 bench-report:
-	$(GO) run ./cmd/bench -o $(BENCH_OUT)
+	@test -n "$(BENCH_OUT)" || { echo "bench-report: set BENCH_OUT=BENCH_PRn.txt" >&2; exit 2; }
+	env -u REPRO_WORKERS $(GO) test -run '^$$' \
+		-bench '^Benchmark(Fig6a|SimulationThroughput|ArenaThroughput|DESEventThroughput)$$' \
+		-benchmem -count 3 -cpu 1 . > $(BENCH_OUT)
 
 # Kill–restart recovery harness: SIGKILL a real daemon mid-campaign,
 # restart it, assert no acked job lost and no divergent bytes.

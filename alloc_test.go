@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/engine"
-	"repro/internal/hv"
 	"repro/internal/rng"
 	"repro/internal/simtime"
 	"repro/internal/workload"
@@ -55,20 +54,7 @@ func TestAllocBudgetFig6Cell(t *testing.T) {
 	lambda := simtime.Micros(1344)
 	arrivals := workload.Timestamps(workload.Exponential(rng.New(1), lambda, 2000))
 	cell := func() core.Scenario {
-		return core.Scenario{
-			Partitions: []core.PartitionSpec{
-				{Name: "app1", Slot: simtime.Micros(6000)},
-				{Name: "app2", Slot: simtime.Micros(6000)},
-				{Name: "hk", Slot: simtime.Micros(2000)},
-			},
-			Mode:   hv.Monitored,
-			Policy: hv.ResumeAcrossSlots,
-			IRQs: []core.IRQSpec{{
-				Name: "t0", Partition: 0,
-				CTH: simtime.Micros(6), CBH: simtime.Micros(30),
-				Arrivals: arrivals, DMin: lambda,
-			}},
-		}
+		return monitoredScenario(core.IRQSpec{Name: "t0", Arrivals: arrivals, DMin: lambda})
 	}
 	arena := engine.NewArena()
 	if _, err := arena.Run(cell()); err != nil {

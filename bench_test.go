@@ -9,6 +9,7 @@ package repro
 
 import (
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"testing"
 
 	"repro/internal/analysis"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/curves"
 	"repro/internal/des"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/guestos"
 	"repro/internal/hv"
@@ -32,9 +34,61 @@ func benchFig6Cfg() experiments.Fig6Config {
 	return cfg
 }
 
+// monitoredScenario is the evaluation's three-partition TDMA system
+// (6 + 6 + 2 ms slots, resume-across-slots) with one monitored IRQ
+// source on app1 at C_TH 6 µs and C_BH 30 µs; irq supplies the name,
+// arrivals and monitor model.
+func monitoredScenario(irq core.IRQSpec) core.Scenario {
+	irq.Partition = 0
+	irq.CTH, irq.CBH = simtime.Micros(6), simtime.Micros(30)
+	return core.Scenario{
+		Partitions: []core.PartitionSpec{
+			{Name: "app1", Slot: simtime.Micros(6000)},
+			{Name: "app2", Slot: simtime.Micros(6000)},
+			{Name: "hk", Slot: simtime.Micros(2000)},
+		},
+		Mode:   hv.Monitored,
+		Policy: hv.ResumeAcrossSlots,
+		IRQs:   []core.IRQSpec{irq},
+	}
+}
+
+// throughputScenario is the single-IRQ pipeline the throughput
+// benchmarks time: 2000 exponential arrivals, mean and dmin 1344 µs.
+func throughputScenario() core.Scenario {
+	lambda := simtime.Micros(1344)
+	arrivals := workload.Timestamps(workload.Exponential(rng.New(1), lambda, 2000))
+	return monitoredScenario(core.IRQSpec{Name: "t0", Arrivals: arrivals, DMin: lambda})
+}
+
+// gcPerOp resets the timer and returns a func that stops it and reports
+// the GC cycles completed in between as "gc/op": a collection that
+// overlaps a run perturbs its timing (write barriers, mark assists) even
+// when allocs/op is unchanged. Call it as `defer gcPerOp(b)()` after any
+// setup; the counter reads sit outside the timed region, so they add
+// nothing to allocs/op.
+func gcPerOp(b *testing.B) func() {
+	gc0 := gcCycles()
+	report := func() {
+		b.StopTimer()
+		b.ReportMetric(float64(gcCycles()-gc0)/float64(b.N), "gc/op")
+	}
+	b.ResetTimer()
+	return report
+}
+
+// gcCycles returns the number of GC cycles completed so far, read
+// without stopping the world.
+func gcCycles() uint64 {
+	s := []rtmetrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+	rtmetrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
 // BenchmarkFig6a regenerates Figure 6a: latency histogram with
 // monitoring disabled (original top handler).
 func BenchmarkFig6a(b *testing.B) {
+	defer gcPerOp(b)()
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Fig6(experiments.Fig6a, benchFig6Cfg())
 		if err != nil {
@@ -169,21 +223,10 @@ func BenchmarkAblationMonitorLength(b *testing.B) {
 			}
 			bound := recorded.ScaleDistances(2)
 			for i := 0; i < b.N; i++ {
-				sc := core.Scenario{
-					Partitions: []core.PartitionSpec{
-						{Name: "app1", Slot: simtime.Micros(6000)},
-						{Name: "app2", Slot: simtime.Micros(6000)},
-						{Name: "hk", Slot: simtime.Micros(2000)},
-					},
-					Mode:   hv.Monitored,
-					Policy: hv.ResumeAcrossSlots,
-					IRQs: []core.IRQSpec{{
-						Name: "ecu", Partition: 0,
-						CTH: simtime.Micros(6), CBH: simtime.Micros(30),
-						Arrivals: trace,
-						Learn:    &core.LearnSpec{L: l, Events: learn, Bound: bound},
-					}},
-				}
+				sc := monitoredScenario(core.IRQSpec{
+					Name: "ecu", Arrivals: trace,
+					Learn: &core.LearnSpec{L: l, Events: learn, Bound: bound},
+				})
 				res, err := core.Run(sc)
 				if err != nil {
 					b.Fatal(err)
@@ -216,29 +259,30 @@ func BenchmarkFig6aParallel(b *testing.B) {
 // BenchmarkSimulationThroughput measures raw simulator speed: simulated
 // IRQs per wall-clock second through the full monitored pipeline.
 func BenchmarkSimulationThroughput(b *testing.B) {
-	lambda := simtime.Micros(1344)
-	arrivals := workload.Timestamps(workload.Exponential(rng.New(1), lambda, 2000))
-	sc := core.Scenario{
-		Partitions: []core.PartitionSpec{
-			{Name: "app1", Slot: simtime.Micros(6000)},
-			{Name: "app2", Slot: simtime.Micros(6000)},
-			{Name: "hk", Slot: simtime.Micros(2000)},
-		},
-		Mode:   hv.Monitored,
-		Policy: hv.ResumeAcrossSlots,
-		IRQs: []core.IRQSpec{{
-			Name: "t0", Partition: 0,
-			CTH: simtime.Micros(6), CBH: simtime.Micros(30),
-			Arrivals: arrivals, DMin: lambda,
-		}},
-	}
-	b.ResetTimer()
+	sc := throughputScenario()
+	defer gcPerOp(b)()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Run(sc); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(arrivals)*b.N)/b.Elapsed().Seconds(), "IRQs/s")
+	b.ReportMetric(float64(len(sc.IRQs[0].Arrivals)*b.N)/b.Elapsed().Seconds(), "IRQs/s")
+}
+
+// BenchmarkArenaThroughput is BenchmarkSimulationThroughput on the
+// zero-alloc arena path: one arena reused across iterations, so the
+// steady-state allocs/op measure the engine core, not system
+// construction.
+func BenchmarkArenaThroughput(b *testing.B) {
+	sc := throughputScenario()
+	arena := engine.NewArena()
+	defer gcPerOp(b)()
+	for i := 0; i < b.N; i++ {
+		if _, err := arena.Run(sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(sc.IRQs[0].Arrivals)*b.N)/b.Elapsed().Seconds(), "IRQs/s")
 }
 
 // BenchmarkMonitorCheck measures the δ⁻ monitor's admission check — the
@@ -310,7 +354,7 @@ func BenchmarkDESEventThroughput(b *testing.B) {
 		}
 	}
 	sim.After(simtime.Microsecond, "tick", tick)
-	b.ResetTimer()
+	defer gcPerOp(b)()
 	sim.Drain()
 }
 

@@ -116,9 +116,12 @@ func TestCellSpecDedupeAcrossCampaigns(t *testing.T) {
 // TestWarmColdByteIdentity is the fork-equivalence check at the
 // campaign layer: for every cell of a small campaign, the warm-prefix
 // Runner and the cold two-phase reference produce byte-identical wire
-// documents.
+// documents. jitter-drift joins the shared spec's two faults because
+// its suffix compresses the period below dmin gradually instead of
+// adding or silencing IRQs.
 func TestWarmColdByteIdentity(t *testing.T) {
 	sp := testSpec()
+	sp.Faults = append(sp.Faults, "jitter-drift")
 	if err := sp.Normalize(); err != nil {
 		t.Fatal(err)
 	}

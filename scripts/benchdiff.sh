@@ -1,29 +1,38 @@
 #!/bin/sh
-# Performance regression gate (DESIGN.md §11): regenerate the cmd/bench
-# evidence in quick mode and diff the tracked benchmarks against the
-# best committed BENCH_PR*.json values. Fails on a >10 % regression in
-# ns/op or allocs/op (cmd/benchdiff). Timings are min-of-N, so a single
-# noisy scheduler quantum does not fail the gate; quick mode shrinks
-# only the wall-clock sections, never the gated benchmarks themselves.
+# Performance regression gate (DESIGN.md §11): run the tracked
+# benchmarks with the Go toolchain's own runner, pinned to one P, and
+# diff them against the best committed BENCH_PR*.txt values. Fails on a
+# >10 % regression in ns/op or allocs/op (cmd/benchdiff). Each metric
+# is the minimum over its -count repetitions, so a single noisy
+# scheduler quantum does not fail the gate.
 #
-# Two drift guards (the PR 7 false failure — host slowdown on untouched
-# paths — must not fail CI): a first failure triggers one paired rerun,
-# and the gate then compares the elementwise minimum of both same-host
-# reports (a real regression reproduces; noise does not). Persistent
-# environment drift is acknowledged through the committed
-# BENCH_REBASE.json sentinel, which cmd/benchdiff applies to ns/op
-# baselines only.
+# -cpu 1 makes allocs/op independent of the host's CPU count: Fig6a
+# fans its loads out over GOMAXPROCS runner workers, and each worker
+# adds allocations. REPRO_WORKERS is unset for the same reason, since
+# it would override that fan-out.
+#
+# Two drift guards (a host slowdown on untouched paths must not fail
+# CI): a first failure triggers one paired rerun appended to the same
+# file, and the gate then takes each metric's minimum over both runs (a
+# real regression reproduces; noise does not). Persistent environment
+# drift is acknowledged through the committed BENCH_REBASE.json
+# sentinel, which cmd/benchdiff applies to ns/op baselines only.
 set -eux
 
 cd "$(dirname "$0")/.."
+unset REPRO_WORKERS
 
-tmp="$(mktemp -t benchdiff.XXXXXX.json)"
-tmp2="$(mktemp -t benchdiff2.XXXXXX.json)"
-trap 'rm -f "$tmp" "$tmp2"' EXIT
+tmp="$(mktemp -t benchdiff.XXXXXX.txt)"
+trap 'rm -f "$tmp"' EXIT
 
-go run ./cmd/bench -quick -o "$tmp"
+bench() {
+    go test -run '^$' -bench '^Benchmark(Fig6a|SimulationThroughput|DESEventThroughput)$' \
+        -benchmem -count 3 -cpu 1 . >>"$tmp"
+}
+
+bench
 if ! go run ./cmd/benchdiff -new "$tmp"; then
     echo "benchdiff.sh: regression reported; pairing with a same-host rerun" >&2
-    go run ./cmd/bench -quick -o "$tmp2"
-    go run ./cmd/benchdiff -new "$tmp,$tmp2"
+    bench
+    go run ./cmd/benchdiff -new "$tmp"
 fi
