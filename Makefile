@@ -29,16 +29,17 @@ bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
 # Regenerate the committed bench evidence: standard `go test -bench`
-# output of the gated benchmarks (plus ArenaThroughput) with ns/op,
-# allocs/op, GC cycles/op and the reproduced headline metrics, pinned
-# to one P with the same flags as scripts/benchdiff.sh so the evidence
-# and the gate measure the same shape. Wall-clock numbers for
-# the sweep, campaign and serve paths come from perfbench/. Name a new
-# file per change: make bench-report BENCH_OUT=BENCH_PRn.txt
+# output of the gated benchmarks, plus ArenaThroughput and the warm
+# campaign cell (CampaignCell), with ns/op, allocs/op, GC cycles/op and
+# the reproduced headline metrics, pinned to one P with the same flags
+# as scripts/benchdiff.sh so the evidence and the gate measure the same
+# shape. Wall-clock numbers for the sweep, campaign and serve paths come
+# from perfbench/. Name a new file per change:
+# make bench-report BENCH_OUT=BENCH_PRn.txt
 bench-report:
 	@test -n "$(BENCH_OUT)" || { echo "bench-report: set BENCH_OUT=BENCH_PRn.txt" >&2; exit 2; }
 	env -u REPRO_WORKERS $(GO) test -run '^$$' \
-		-bench '^Benchmark(Fig6a|SimulationThroughput|ArenaThroughput|DESEventThroughput)$$' \
+		-bench '^Benchmark(Fig6a|SimulationThroughput|ArenaThroughput|DESEventThroughput|CampaignCell)$$' \
 		-benchmem -count 3 -cpu 1 . > $(BENCH_OUT)
 
 # Kill–restart recovery harness: SIGKILL a real daemon mid-campaign,

@@ -11,6 +11,7 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/engine"
@@ -67,5 +68,31 @@ func TestAllocBudgetFig6Cell(t *testing.T) {
 	})
 	if allocs > 120 {
 		t.Fatalf("warm Fig6a cell allocates %.0f per run, want O(1) (≤ 120)", allocs)
+	}
+}
+
+// TestAllocBudgetCampaignCell pins the warm campaign cell: on a Runner
+// that already forked the prefix group, a cell allocates for its
+// suffix, its owned suffix records and its wire document — 53 per cell
+// on average over one fault × intensity sweep — not for the 2000-event
+// prefix. Regenerating the prefix scenario, copying its records or
+// re-deriving its δ⁻ per cell cost 151.
+func TestAllocBudgetCampaignCell(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unstable under -race; scripts/check.sh runs this without it")
+	}
+	r := campaign.NewRunner()
+	if _, err := r.Run(campaignCell(0)); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(40, func() {
+		if _, err := r.Run(campaignCell(i)); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 106 {
+		t.Fatalf("warm campaign cell allocates %.0f per run, want ≤ 106 (2× the steady state)", allocs)
 	}
 }

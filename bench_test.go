@@ -14,11 +14,13 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/arm"
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/curves"
 	"repro/internal/des"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/faults"
 	"repro/internal/guestos"
 	"repro/internal/hv"
 	"repro/internal/monitor"
@@ -283,6 +285,37 @@ func BenchmarkArenaThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(sc.IRQs[0].Arrivals)*b.N)/b.Elapsed().Seconds(), "IRQs/s")
+}
+
+// campaignCell is cell i of a perfbench-shaped campaign round: the 5
+// fault models × intensities 0.25–1 × seeds, all sharing one 2000-event
+// prefix group, each with a 150-event suffix.
+func campaignCell(i int) campaign.CellSpec {
+	names := faults.Names()
+	return campaign.CellSpec{
+		Fault:        names[i%len(names)],
+		Intensity:    0.25 * float64(1+(i/len(names))%4),
+		Seed:         uint64(1 + i/(4*len(names))),
+		PrefixSeed:   2014,
+		PrefixEvents: 2000,
+		SuffixEvents: 150,
+	}
+}
+
+// BenchmarkCampaignCell measures one warm campaign cell end to end on a
+// Runner that already forked the cell's prefix group: snapshot restore,
+// suffix generation and simulation, and the eq. (14) verdict.
+func BenchmarkCampaignCell(b *testing.B) {
+	r := campaign.NewRunner()
+	if _, err := r.Run(campaignCell(0)); err != nil {
+		b.Fatal(err)
+	}
+	defer gcPerOp(b)()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Run(campaignCell(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkMonitorCheck measures the δ⁻ monitor's admission check — the

@@ -5,7 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/simtime"
 )
 
 func testSpec() Spec {
@@ -323,5 +327,90 @@ func TestFoldMatchesManualMerge(t *testing.T) {
 	}
 	if !seq.Complete() || seq.Done != 8 {
 		t.Fatalf("fold incomplete: %+v", seq)
+	}
+}
+
+// TestRunnerInterleavesKinds pins that a diffuzz cell between two chaos
+// cells of one prefix group does not corrupt the warm fork: the diffuzz
+// cell rebuilds the Runner's arena, so the second chaos cell must
+// re-fork and produce the same bytes as the first.
+func TestRunnerInterleavesKinds(t *testing.T) {
+	cs := CellSpec{Fault: "babbling-idiot", Intensity: 0.5, Seed: 3,
+		PrefixSeed: 2014, PrefixEvents: 300, SuffixEvents: 100}
+	dz := CellSpec{Kind: KindDiffuzz, Class: "sporadic", Events: 200, Seed: 5}
+	r := NewRunner()
+	a, err := r.Run(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(dz); err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.Run(cs)
+	if err != nil {
+		t.Fatalf("chaos cell after a diffuzz cell: %v", err)
+	}
+	ja, _ := json.Marshal(a)
+	jb, _ := json.Marshal(b)
+	if !bytes.Equal(ja, jb) {
+		t.Fatalf("chaos cell changed after a diffuzz cell ran on the same Runner:\n%s\n%s", ja, jb)
+	}
+}
+
+// TestFailedCellFingerprint drives both verdict failures through
+// deriveResult with doctored cell results and checks that the
+// fingerprint names the whole single-phase scenario: the prefix
+// scenario regenerated from the spec with the suffixes appended.
+func TestFailedCellFingerprint(t *testing.T) {
+	cs := CellSpec{Fault: "jitter-drift", Intensity: 0.75, Seed: 9,
+		PrefixSeed: 2014, PrefixEvents: 120, SuffixEvents: 60}
+	r := NewRunner()
+	if _, err := r.Run(cs); err != nil {
+		t.Fatal(err)
+	}
+	sfx, err := cs.suffixes(r.group.forkT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := prefixScenario(cs.PrefixSeed, cs.PrefixEvents)
+	for i := range sc.IRQs {
+		sc.IRQs[i].Arrivals = append(append([]simtime.Time(nil), sc.IRQs[i].Arrivals...), sfx[i]...)
+	}
+	want, err := core.Fingerprint(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, violation string
+		doctor          func(*core.Result)
+	}{
+		{"interference", "exceeds eq. (14) budget", func(res *core.Result) {
+			res.Partitions[cellVictim].StolenInterposed = simtime.Infinity / 4
+		}},
+		{"victim latency", "exceeds analytic bound", func(res *core.Result) {
+			for i := range res.Log.Records {
+				if res.Log.Records[i].Source == cellVictim {
+					res.Log.Records[i].Done = res.Log.Records[i].Arrival.Add(simtime.Second)
+					return
+				}
+			}
+			t.Fatal("no suffix victim record to doctor")
+		}},
+	} {
+		res, err := r.camp.Cell(sfx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.doctor(res)
+		cr, err := deriveResult(cs, r.group, sfx, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cr.Pass || !strings.Contains(cr.Violation, tc.violation) {
+			t.Fatalf("%s: pass %v violation %q, want a %q failure", tc.name, cr.Pass, cr.Violation, tc.violation)
+		}
+		if cr.Fingerprint != want {
+			t.Fatalf("%s: fingerprint %s, want %s", tc.name, cr.Fingerprint, want)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
+	"repro/internal/arm"
 	"repro/internal/core"
 	"repro/internal/curves"
 	"repro/internal/diffuzz"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/hv"
 	"repro/internal/rng"
 	"repro/internal/simtime"
+	"repro/internal/tracerec"
 	"repro/internal/workload"
 )
 
@@ -177,11 +179,11 @@ func (cs CellSpec) suffixes(forkT simtime.Time) ([][]simtime.Time, error) {
 	return [][]simtime.Time{atk, vic}, nil
 }
 
-// fullScenario is the cell's prefix scenario with the suffixes appended
-// to each source's arrivals — the single-phase equivalent of the warm
-// fork, used for the analytic verdict and the failure fingerprint.
-func (cs CellSpec) fullScenario(sfx [][]simtime.Time) core.Scenario {
-	sc := prefixScenario(cs.PrefixSeed, cs.PrefixEvents)
+// fullScenario is the prefix scenario with the suffixes appended to
+// each source's arrivals — the single-phase equivalent of the warm
+// fork, whose content address is a failed cell's fingerprint.
+func fullScenario(prefix core.Scenario, sfx [][]simtime.Time) core.Scenario {
+	sc := prefix
 	irqs := make([]core.IRQSpec, len(sc.IRQs))
 	copy(irqs, sc.IRQs)
 	for i := range irqs {
@@ -251,27 +253,75 @@ func (cr *CellResult) MeanCycles() int64 {
 	return cr.SumCycles / cr.Count
 }
 
-// cellBudget is the eq. (14) interference budget of the cell scenario:
-// one monitored source (the attacker, l = 1 at dmin), so the budget
-// over Δt is η⁺(Δt) · C'_BH with the dispatcher's queue pop folded into
-// the per-grant cost — the analytic mirror of the hv oracle's budget.
-func cellBudget(sc core.Scenario, dt simtime.Duration) simtime.Duration {
-	costs := sc.CostModel()
-	cond, err := curves.NewDelta([]simtime.Duration{simtime.Micros(attackerDMinUs)})
-	if err != nil {
-		panic(fmt.Sprintf("campaign: l=1 condition: %v", err))
-	}
-	return analysis.InterposedInterferenceDelta(dt, cond, costs, sc.IRQs[cellAttacker].CBH+costs.QueuePop)
+// victimTraceL is the length of the victim's δ⁻ activation model, taken
+// from its arrival trace; the attacker's interferer model has
+// core.InterfererTraceL entries.
+const victimTraceL = 16
+
+// prefixGroup is everything a cell's verdict needs from its shared
+// prefix, derived once per prefix group (GroupKey) and read-only from
+// then on: the prefix scenario, the worst prefix victim latency, the
+// δ⁻ window state of both prefix streams, and the eq. (14) budget's
+// fixed inputs. A cell extends copies of the windows by its suffix and
+// scans only its own records, so its cost is its suffix.
+type prefixGroup struct {
+	key       string
+	sc        core.Scenario
+	forkT     simtime.Time
+	victimMax simtime.Duration
+	victimWin *curves.TraceWindow
+	attackWin *curves.TraceWindow
+	// The attacker's l = 1 monitoring condition, the platform cost
+	// model and the attacker's per-grant C_BH with the dispatcher's
+	// queue pop folded in.
+	cond  *curves.Delta
+	costs arm.CostModel
+	cbh   simtime.Duration
 }
 
-// deriveResult reduces a raw simulation result to the cell's wire
-// document. It is a pure function of (spec, fork point, suffixes,
-// result): no clocks, no maps, no floats in any summed quantity — the
-// preconditions for the aggregate's byte-identical fold.
-func deriveResult(cs CellSpec, forkT simtime.Time, sfx [][]simtime.Time, res *core.Result) (*CellResult, error) {
+// newPrefixGroup derives the group state from the prefix scenario, the
+// fork-point clock and the latency records the prefix logged.
+func newPrefixGroup(key string, sc core.Scenario, forkT simtime.Time, prefix []tracerec.Record) (*prefixGroup, error) {
+	g := &prefixGroup{key: key, sc: sc, forkT: forkT, costs: sc.CostModel()}
+	g.cbh = sc.IRQs[cellAttacker].CBH + g.costs.QueuePop
+	var err error
+	if g.cond, err = curves.NewDelta([]simtime.Duration{simtime.Micros(attackerDMinUs)}); err != nil {
+		return nil, fmt.Errorf("campaign: l=1 condition: %w", err)
+	}
+	if g.victimWin, err = curves.NewTraceWindow(victimTraceL); err != nil {
+		return nil, err
+	}
+	g.victimWin.Extend(sc.IRQs[cellVictim].Arrivals)
+	if g.attackWin, err = curves.NewTraceWindow(core.InterfererTraceL); err != nil {
+		return nil, err
+	}
+	g.attackWin.Extend(sc.IRQs[cellAttacker].Arrivals)
+	for _, r := range prefix {
+		if r.Source == cellVictim && r.Latency() > g.victimMax {
+			g.victimMax = r.Latency()
+		}
+	}
+	return g, nil
+}
+
+// budget is the eq. (14) interference budget of the cell scenario: one
+// monitored source (the attacker, l = 1 at dmin), so the budget over Δt
+// is η⁺(Δt) · C'_BH with the dispatcher's queue pop folded into the
+// per-grant cost — the analytic mirror of the hv oracle's budget.
+func (g *prefixGroup) budget(dt simtime.Duration) simtime.Duration {
+	return analysis.InterposedInterferenceDelta(dt, g.cond, g.costs, g.cbh)
+}
+
+// deriveResult reduces a cell run to the cell's wire document from its
+// prefix group and the cell's own result: the records logged after the
+// fork (engine.Campaign.Cell's contract) and whole-run counters. It is
+// a pure function of (spec, group, suffixes, result): no clocks, no
+// maps, no floats in any summed quantity — the preconditions for the
+// aggregate's byte-identical fold.
+func deriveResult(cs CellSpec, g *prefixGroup, sfx [][]simtime.Time, res *core.Result) (*CellResult, error) {
 	cr := &CellResult{
 		Spec:   cs,
-		ForkUs: int64(forkT) / int64(simtime.Microsecond),
+		ForkUs: int64(g.forkT) / int64(simtime.Microsecond),
 		Grants: res.Stats.InterposedGrants,
 		Denied: res.Stats.DeniedViolation,
 	}
@@ -279,7 +329,7 @@ func deriveResult(cs CellSpec, forkT simtime.Time, sfx [][]simtime.Time, res *co
 	// Suffix victim latencies: the deliveries this cell added beyond the
 	// shared prefix.
 	var sk Sketch
-	var victimMax simtime.Duration
+	victimMax := g.victimMax
 	for _, r := range res.Log.Records {
 		if r.Source != cellVictim {
 			continue
@@ -288,7 +338,7 @@ func deriveResult(cs CellSpec, forkT simtime.Time, sfx [][]simtime.Time, res *co
 		if lat > victimMax {
 			victimMax = lat
 		}
-		if !r.Arrival.After(forkT) {
+		if !r.Arrival.After(g.forkT) {
 			continue // shared-prefix delivery, identical in every cell
 		}
 		sk.Add(lat.Micros())
@@ -306,25 +356,30 @@ func deriveResult(cs CellSpec, forkT simtime.Time, sfx [][]simtime.Time, res *co
 
 	// Verdict (a): worst cross-partition interference vs the whole-run
 	// eq. (14) budget.
-	full := cs.fullScenario(sfx)
 	var interference simtime.Duration
 	for i, p := range res.Partitions {
 		if i != cellAttacker && p.StolenInterposed > interference {
 			interference = p.StolenInterposed
 		}
 	}
-	budget := cellBudget(full, res.Duration)
+	budget := g.budget(res.Duration)
 	cr.InterferenceCycles = int64(interference)
 	cr.BudgetCycles = int64(budget)
 
 	// Verdict (b): measured victim latency vs the analytic
-	// delayed-handling bound with the adversary's budget folded in.
-	victimModel, err := curves.DeltaFromTrace(full.IRQs[cellVictim].Arrivals, 16)
+	// delayed-handling bound with the adversary's budget folded in. Both
+	// trace models cover prefix and suffix arrivals.
+	vw := g.victimWin.Clone()
+	vw.Extend(sfx[cellVictim])
+	victimModel, err := vw.Delta()
 	if err != nil {
 		cr.BoundNote = fmt.Sprintf("victim trace model: %v", err)
 	} else {
-		extra := func(dt simtime.Duration) simtime.Duration { return cellBudget(full, dt) }
-		rt, err := core.ClassicBoundUnder(full, cellVictim, victimModel, extra)
+		aw := g.attackWin.Clone()
+		aw.Extend(sfx[cellAttacker])
+		models := make([]curves.Model, len(g.sc.IRQs))
+		models[cellAttacker] = core.TraceModel(aw.Delta())
+		rt, err := core.ClassicBoundUnderModels(g.sc, cellVictim, victimModel, models, g.budget, analysis.DefaultHorizon)
 		if err != nil {
 			cr.BoundNote = fmt.Sprintf("victim bound: %v", err)
 		} else {
@@ -343,7 +398,7 @@ func deriveResult(cs CellSpec, forkT simtime.Time, sfx [][]simtime.Time, res *co
 			victimMax, simtime.Duration(cr.BoundCycles))
 	}
 	if !cr.Pass {
-		fp, err := core.Fingerprint(full)
+		fp, err := core.Fingerprint(fullScenario(g.sc, sfx))
 		if err != nil {
 			fp = fmt.Sprintf("unavailable: %v", err)
 		}
@@ -353,14 +408,15 @@ func deriveResult(cs CellSpec, forkT simtime.Time, sfx [][]simtime.Time, res *co
 }
 
 // Runner executes cells on the warm-prefix path: the first cell of a
-// prefix group pays the cold prefix run and snapshots it
-// (engine.ForkCampaign); every later cell of the group rewinds and pays
-// only its suffix. Like the arena it wraps, a Runner is
-// single-goroutine — fan-out creates one Runner per worker.
+// prefix group pays the cold prefix run, snapshots it
+// (engine.ForkCampaign) and derives the group's verdict state; every
+// later cell of the group rewinds and pays only its suffix. Like the
+// arena it wraps, a Runner is single-goroutine — fan-out creates one
+// Runner per worker.
 type Runner struct {
-	arena    *engine.SimArena
-	groupKey string
-	camp     *engine.Campaign
+	arena *engine.SimArena
+	camp  *engine.Campaign
+	group *prefixGroup
 }
 
 // NewRunner returns a fresh runner with its own arena.
@@ -374,17 +430,27 @@ func (r *Runner) Run(cs CellSpec) (*CellResult, error) {
 		return nil, err
 	}
 	if cs.Kind == KindDiffuzz {
+		// The diffuzz cell rebuilds the arena, which invalidates the
+		// warm fork.
+		r.camp, r.group = nil, nil
 		return runDiffuzzCell(r.arena, cs)
 	}
-	if gk := cs.GroupKey(); r.camp == nil || r.groupKey != gk {
-		camp, err := r.arena.ForkCampaign(prefixScenario(cs.PrefixSeed, cs.PrefixEvents))
+	if gk := cs.GroupKey(); r.group == nil || r.group.key != gk {
+		// Forget the old group first: if this fork fails, the arena
+		// no longer holds the old group's system.
+		r.camp, r.group = nil, nil
+		sc := prefixScenario(cs.PrefixSeed, cs.PrefixEvents)
+		camp, err := r.arena.ForkCampaign(sc)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: prefix fork: %w", err)
 		}
-		r.camp, r.groupKey = camp, gk
+		g, err := newPrefixGroup(gk, sc, camp.Now(), camp.Prefix())
+		if err != nil {
+			return nil, err
+		}
+		r.camp, r.group = camp, g
 	}
-	forkT := r.camp.Now()
-	sfx, err := cs.suffixes(forkT)
+	sfx, err := cs.suffixes(r.group.forkT)
 	if err != nil {
 		return nil, err
 	}
@@ -392,7 +458,7 @@ func (r *Runner) Run(cs CellSpec) (*CellResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: cell %s@%g seed %d: %w", cs.Fault, cs.Intensity, cs.Seed, err)
 	}
-	return deriveResult(cs, forkT, sfx, res)
+	return deriveResult(cs, r.group, sfx, res)
 }
 
 // runDiffuzzCell executes one differential-fuzz cell: generate the
@@ -435,7 +501,8 @@ func RunDiffuzzCell(a *engine.SimArena, cs CellSpec, opt diffuzz.Options) (*Cell
 // RunCellCold executes one cell without the snapshot path: prefix run
 // from cycle zero on a fresh system, then the suffix as a plain
 // two-phase extension. The reference implementation the warm path is
-// verified against.
+// verified against; it derives the verdict through the same prefix
+// group state, built from its own prefix run.
 func RunCellCold(cs CellSpec) (*CellResult, error) {
 	if err := cs.Validate(); err != nil {
 		return nil, err
@@ -451,12 +518,16 @@ func RunCellCold(cs CellSpec) (*CellResult, error) {
 	if err := sys.RunToCompletion(core.Horizon(sc)); err != nil {
 		return nil, err
 	}
-	forkT := sys.Now()
-	sfx, err := cs.suffixes(forkT)
+	prefix := core.ReportSince(sys, 0).Log.Records
+	g, err := newPrefixGroup(cs.GroupKey(), sc, sys.Now(), prefix)
 	if err != nil {
 		return nil, err
 	}
-	last := forkT
+	sfx, err := cs.suffixes(g.forkT)
+	if err != nil {
+		return nil, err
+	}
+	last := g.forkT
 	for i, s := range sfx {
 		if len(s) == 0 {
 			continue
@@ -474,5 +545,5 @@ func RunCellCold(cs CellSpec) (*CellResult, error) {
 	if err := sys.CheckInvariants(); err != nil {
 		return nil, err
 	}
-	return deriveResult(cs, forkT, sfx, core.ReportOwned(sys))
+	return deriveResult(cs, g, sfx, core.ReportSince(sys, len(prefix)))
 }

@@ -339,9 +339,16 @@ func RunManyCtx(ctx context.Context, scenarios []Scenario, workers int) ([]*Resu
 
 // Report assembles a Result from a (fully or partially) run system.
 func Report(sys *hv.System) *Result {
+	res := reportCounters(sys)
+	res.Log = sys.Log()
+	res.Summary = res.Log.Summarize()
+	return res
+}
+
+// reportCounters is the part of a Result that owns no log memory:
+// stats, duration and the per-partition and per-source reports.
+func reportCounters(sys *hv.System) *Result {
 	res := &Result{
-		Log:      sys.Log(),
-		Summary:  sys.Log().Summarize(),
 		Stats:    sys.Stats(),
 		Duration: sys.Now().Sub(0),
 	}
@@ -376,6 +383,18 @@ func Report(sys *hv.System) *Result {
 func ReportOwned(sys *hv.System) *Result {
 	res := Report(sys)
 	res.Log = &tracerec.Log{Records: append([]tracerec.Record(nil), res.Log.Records...)}
+	return res
+}
+
+// ReportSince is ReportOwned for the latency records logged at index
+// from and later only, and without a Summary. The log is append-only,
+// so a run continued from a snapshot taken when it held from records
+// reports exactly what the continuation added; the counters (Stats,
+// Partitions, Sources, Duration) still cover the whole run. Warm-prefix
+// forks use it to copy the shared prefix once and each suffix per cell.
+func ReportSince(sys *hv.System, from int) *Result {
+	res := reportCounters(sys)
+	res.Log = &tracerec.Log{Records: append([]tracerec.Record(nil), sys.Log().Records[from:]...)}
 	return res
 }
 
@@ -461,8 +480,31 @@ func ClassicBoundUnder(sc Scenario, idx int, model curves.Model, extra analysis.
 // overloaded configurations are rejected quickly instead of crawling
 // the fixed point toward the default one-hour horizon.
 func ClassicBoundUnderHorizon(sc Scenario, idx int, model curves.Model, extra analysis.Interference, horizon simtime.Duration) (analysis.ResponseTimeResult, error) {
+	// Interferer top handlers fire for the *actual* stream, not the
+	// monitoring condition — a violating arrival is denied interposing
+	// but still pays its top handler. Bound them by the concrete trace,
+	// never the (possibly violated) condition.
+	models := make([]curves.Model, len(sc.IRQs))
+	for i, q := range sc.IRQs {
+		if i != idx {
+			models[i] = traceModel(q.Arrivals)
+		}
+	}
+	return ClassicBoundUnderModels(sc, idx, model, models, extra, horizon)
+}
+
+// ClassicBoundUnderModels is ClassicBoundUnderHorizon with the
+// interferers' activation models passed in: models[i] bounds IRQ i's
+// arrivals (models[idx] is ignored), so sc's arrival streams are not
+// read. A caller that already holds the streams' trace models (a warm
+// campaign cell extends its prefix group's δ⁻ trace windows) skips
+// re-deriving them.
+func ClassicBoundUnderModels(sc Scenario, idx int, model curves.Model, models []curves.Model, extra analysis.Interference, horizon simtime.Duration) (analysis.ResponseTimeResult, error) {
 	if idx < 0 || idx >= len(sc.IRQs) {
 		return analysis.ResponseTimeResult{}, errors.New("core: IRQ index out of range")
+	}
+	if len(models) != len(sc.IRQs) {
+		return analysis.ResponseTimeResult{}, fmt.Errorf("core: %d interferer models for %d IRQs", len(models), len(sc.IRQs))
 	}
 	costs := sc.CostModel()
 	target := sc.IRQs[idx]
@@ -482,12 +524,7 @@ func ClassicBoundUnderHorizon(sc Scenario, idx int, model curves.Model, extra an
 		if i == idx {
 			continue
 		}
-		// Interferer top handlers fire for the *actual* stream, not
-		// the monitoring condition — a violating arrival is denied
-		// interposing but still pays its top handler. Bound them by
-		// the concrete trace, never the (possibly violated) condition.
-		m := traceModel(q.Arrivals)
-		others = append(others, analysis.IRQ{Name: q.Name, CTH: interfererCTH(q, costs), CBH: q.CBH, Model: m})
+		others = append(others, analysis.IRQ{Name: q.Name, CTH: interfererCTH(q, costs), CBH: q.CBH, Model: models[i]})
 	}
 	return analysis.ClassicLatencyUnder(irq, tdma, others, extra, horizon)
 }
@@ -545,15 +582,26 @@ func interfererCTH(q IRQSpec, costs arm.CostModel) simtime.Duration {
 	return cth
 }
 
+// InterfererTraceL is the δ⁻ length of the trace model an interfering
+// source's concrete arrival stream is bounded by.
+const InterfererTraceL = 8
+
 // traceModel returns the tightest δ⁻ of a concrete arrival stream, or
 // an effectively silent model for streams too short to derive one.
 func traceModel(arrivals []simtime.Time) curves.Model {
-	if len(arrivals) >= 2 {
-		if d, err := curves.DeltaFromTrace(arrivals, 8); err == nil {
-			return d
-		}
+	return TraceModel(curves.DeltaFromTrace(arrivals, InterfererTraceL))
+}
+
+// TraceModel turns the result of an InterfererTraceL-entry δ⁻
+// derivation over an interferer's arrivals (curves.DeltaFromTrace, or
+// a finished curves.TraceWindow) into its interferer model: the δ⁻
+// itself, or an effectively silent model when no δ⁻ could be derived
+// (a stream of fewer than two events).
+func TraceModel(d *curves.Delta, err error) curves.Model {
+	if err != nil {
+		return curves.Sporadic{DMin: simtime.Infinity / 2}
 	}
-	return curves.Sporadic{DMin: simtime.Infinity / 2}
+	return d
 }
 
 // interfererModel derives a conservative activation model for an
@@ -566,14 +614,7 @@ func interfererModel(q IRQSpec) curves.Model {
 	case q.Condition != nil:
 		return q.Condition
 	default:
-		if len(q.Arrivals) >= 2 {
-			if d, err := curves.DeltaFromTrace(q.Arrivals, 8); err == nil {
-				return d
-			}
-		}
-		// Single-shot or empty stream: effectively no interference
-		// beyond one event per window.
-		return curves.Sporadic{DMin: simtime.Infinity / 2}
+		return traceModel(q.Arrivals)
 	}
 }
 

@@ -17,7 +17,6 @@ package curves
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/simtime"
 )
@@ -275,26 +274,105 @@ func (d *Delta) ScaleDistances(factor float64) *Delta {
 // observed distance spanned by i+2 consecutive events. This is the batch
 // equivalent of Appendix A's Algorithm 1.
 func DeltaFromTrace(ts []simtime.Time, l int) (*Delta, error) {
+	w, err := NewTraceWindow(l)
+	if err != nil {
+		return nil, err
+	}
+	w.Extend(ts)
+	return w.finish(w.least) // w is dropped: finish its minima in place
+}
+
+// TraceWindow is DeltaFromTrace in extendable form: the raw per-window
+// minima of the trace seen so far and its last l timestamps. Extending
+// a window by ts and finishing it gives the same Delta, and the same
+// error, as DeltaFromTrace over the concatenation of everything it was
+// extended with — so a long shared trace prefix is scanned once and
+// each continuation of it pays only for its own events.
+type TraceWindow struct {
+	n        int                // events seen
+	least    []simtime.Duration // least[k-1]: least span of k+1 consecutive events (Infinity until seen)
+	tail     []simtime.Time     // the last ≤ l events, oldest first
+	unsorted bool               // a timestamp preceded its predecessor
+}
+
+// NewTraceWindow returns an empty l-entry trace window.
+func NewTraceWindow(l int) (*TraceWindow, error) {
 	if l <= 0 {
 		return nil, errors.New("curves: l must be positive")
 	}
-	if len(ts) < 2 {
-		return nil, errors.New("curves: trace needs at least two events")
+	w := &TraceWindow{least: make([]simtime.Duration, l), tail: make([]simtime.Time, 0, l)}
+	for i := range w.least {
+		w.least[i] = simtime.Infinity
 	}
-	if !sort.SliceIsSorted(ts, func(i, j int) bool { return ts[i] < ts[j] }) {
-		return nil, errors.New("curves: trace timestamps must be non-decreasing")
+	return w, nil
+}
+
+// Clone returns an independent copy of w, so a shared prefix window can
+// be extended by many continuations.
+func (w *TraceWindow) Clone() *TraceWindow {
+	return &TraceWindow{
+		n:        w.n,
+		least:    append([]simtime.Duration(nil), w.least...),
+		tail:     append(make([]simtime.Time, 0, cap(w.tail)), w.tail...),
+		unsorted: w.unsorted,
 	}
-	dist := make([]simtime.Duration, l)
-	for i := range dist {
-		dist[i] = simtime.Infinity
+}
+
+// Extend appends the events ts to the window's trace.
+func (w *TraceWindow) Extend(ts []simtime.Time) {
+	w.n += len(ts)
+	if w.unsorted {
+		return
 	}
-	for i := range ts {
-		for k := 1; k <= l && i+k < len(ts); k++ {
-			d := ts[i+k].Sub(ts[i])
-			if d < dist[k-1] {
-				dist[k-1] = d
+	least, tail := w.least, w.tail
+	l := len(least)
+	for j, t := range ts {
+		if j == 0 && len(tail) > 0 && t < tail[len(tail)-1] || j > 0 && t < ts[j-1] {
+			w.unsorted = true
+			return
+		}
+	}
+	// Spans of k+1 ≤ l+1 consecutive events: those that start in the
+	// earlier tail and end in ts, then those within ts.
+	for m, s := range tail {
+		back := len(tail) - m // s lies back events before ts[0]
+		for j := 0; j < len(ts) && back+j <= l; j++ {
+			if d := ts[j].Sub(s); d < least[back+j-1] {
+				least[back+j-1] = d
 			}
 		}
+	}
+	for i, s := range ts {
+		for k := 1; k <= l && i+k < len(ts); k++ {
+			if d := ts[i+k].Sub(s); d < least[k-1] {
+				least[k-1] = d
+			}
+		}
+	}
+	if len(ts) >= l {
+		w.tail = append(w.tail[:0], ts[len(ts)-l:]...)
+		return
+	}
+	if drop := len(w.tail) + len(ts) - l; drop > 0 {
+		w.tail = w.tail[:copy(w.tail, w.tail[drop:])]
+	}
+	w.tail = append(w.tail, ts...)
+}
+
+// Delta finishes the window: the tightest l-entry δ⁻ prefix of the
+// trace seen so far. It does not consume w.
+func (w *TraceWindow) Delta() (*Delta, error) {
+	return w.finish(append([]simtime.Duration(nil), w.least...))
+}
+
+// finish turns dist, the window's per-window minima, into its δ⁻
+// prefix, or reports why the trace has none.
+func (w *TraceWindow) finish(dist []simtime.Duration) (*Delta, error) {
+	if w.n < 2 {
+		return nil, errors.New("curves: trace needs at least two events")
+	}
+	if w.unsorted {
+		return nil, errors.New("curves: trace timestamps must be non-decreasing")
 	}
 	// Entries never observed (trace shorter than l+1 events) fall back
 	// to the superadditive extension of the observed prefix.

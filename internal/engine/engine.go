@@ -9,9 +9,16 @@
 // hv.Reinit) for every scenario it runs, so the steady-state cost of a
 // campaign cell is O(1) allocations instead of O(events).
 //
+// Warm-prefix forking (ForkCampaign, Campaign.Cell) runs a shared
+// prefix once, snapshots it and copies its latency records out once;
+// each cell restores the snapshot, runs only its suffix and hands out
+// only the records the suffix added. A campaign is valid until its
+// arena builds anything else; Cell refuses a stale one.
+//
 // Ownership contract: the arena owns everything the system allocated;
-// results handed out of an arena are deep copies (core.ReportOwned).
-// Retaining a pointer into arena memory across the next Build/Run is a
+// results handed out of an arena are deep copies (core.ReportOwned, or
+// core.ReportSince for a campaign's prefix and cells). Retaining a
+// pointer into arena memory across the next Build/Run is a
 // use-after-reset bug — in arena-adopting packages the reprolint
 // arenaretain analyzer flags both the aliasing entry points
 // (core.Report, hv.System.Log) and any value derived from them that is
@@ -24,15 +31,16 @@
 package engine
 
 import (
-	"fmt"
-
 	"context"
+	"errors"
+	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/hv"
 	"repro/internal/runner"
 	"repro/internal/simtime"
+	"repro/internal/tracerec"
 )
 
 // SimArena is a reusable simulation workspace. The zero value is ready
@@ -40,6 +48,9 @@ import (
 // rewires it in place.
 type SimArena struct {
 	sys *hv.System
+	// gen counts the systems the arena has built; a Campaign records
+	// it at the fork and is stale once it moves on.
+	gen uint64
 }
 
 // NewArena returns a fresh arena — the newLocal hook for
@@ -56,6 +67,7 @@ func (a *SimArena) Build(sc core.Scenario) (*hv.System, error) {
 		return nil, err
 	}
 	a.sys = sys
+	a.gen++
 	return sys, nil
 }
 
@@ -112,20 +124,24 @@ func RunManyCtx(ctx context.Context, scenarios []core.Scenario, workers int) ([]
 }
 
 // Campaign is a warm-prefix fork point: a snapshot of the arena's
-// system taken after the shared prefix completed. Each Cell rewinds to
-// the snapshot and pays only for its suffix.
+// system taken after the shared prefix completed, plus an owned copy of
+// the latency records the prefix logged. Each Cell rewinds to the
+// snapshot and pays only for its suffix.
 type Campaign struct {
-	arena *SimArena
-	sn    *des.Snapshot
-	cycle simtime.Duration
-	nsrc  int
+	arena  *SimArena
+	gen    uint64 // the arena build the snapshot belongs to
+	sn     *des.Snapshot
+	prefix []tracerec.Record
+	cycle  simtime.Duration
+	nsrc   int
 }
 
 // ForkCampaign runs sc — the campaign's shared warm prefix — to
 // completion inside the arena and snapshots the end state. The prefix
 // must be untraced (trace recordings cannot be rewound). The arena is
 // pinned to the campaign: using it for other runs invalidates the
-// campaign, not the other way around.
+// campaign (its Cell calls fail from then on), not the other way
+// around.
 func (a *SimArena) ForkCampaign(sc core.Scenario) (*Campaign, error) {
 	sys, err := a.simulate(sc)
 	if err != nil {
@@ -135,7 +151,14 @@ func (a *SimArena) ForkCampaign(sc core.Scenario) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Campaign{arena: a, sn: sn, cycle: sc.CycleLength(), nsrc: len(sc.IRQs)}, nil
+	return &Campaign{
+		arena:  a,
+		gen:    a.gen,
+		sn:     sn,
+		prefix: core.ReportSince(sys, 0).Log.Records,
+		cycle:  sc.CycleLength(),
+		nsrc:   len(sc.IRQs),
+	}, nil
 }
 
 // Now returns the simulation clock at the fork point. Suffix arrivals
@@ -144,13 +167,27 @@ func (c *Campaign) Now() simtime.Time {
 	return c.sn.Now()
 }
 
+// Prefix returns the latency records the shared prefix logged, in log
+// order. They are owned by the campaign and shared by every caller:
+// read them, do not modify them.
+func (c *Campaign) Prefix() []tracerec.Record {
+	return c.prefix
+}
+
 // Cell rewinds the arena to the fork point, appends suffixes[i] to IRQ
 // source i (an empty entry extends nothing; suffixes must cover every
 // source) and runs the extended scenario to completion. The result is
-// owned and covers prefix plus suffix, byte-identical to a straight
-// two-phase run of the same arrivals — the fork-determinism fuzz test
-// holds it to that.
+// owned and holds only the latency records logged after the fork, with
+// no Summary; its Stats, Partitions, Sources and Duration cover the
+// whole run. Prefix() followed by those records is byte-identical to
+// the log of a straight two-phase run of the same arrivals, and the
+// counters equal that run's — the fork-determinism fuzz test holds it
+// to that. Cell fails once the arena has built anything since the
+// fork: the snapshot no longer matches the arena's system.
 func (c *Campaign) Cell(suffixes [][]simtime.Time) (*core.Result, error) {
+	if c.arena.gen != c.gen {
+		return nil, errors.New("engine: stale campaign: the arena ran another scenario since the fork")
+	}
 	if len(suffixes) != c.nsrc {
 		return nil, fmt.Errorf("engine: campaign has %d IRQ sources, got %d suffixes", c.nsrc, len(suffixes))
 	}
@@ -174,5 +211,5 @@ func (c *Campaign) Cell(suffixes [][]simtime.Time) (*core.Result, error) {
 	if err := sys.CheckInvariants(); err != nil {
 		return nil, err
 	}
-	return core.ReportOwned(sys), nil
+	return core.ReportSince(sys, len(c.prefix)), nil
 }

@@ -2,12 +2,14 @@ package engine
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/hv"
 	"repro/internal/rng"
 	"repro/internal/simtime"
+	"repro/internal/tracerec"
 	"repro/internal/workload"
 )
 
@@ -178,8 +180,21 @@ func checkForkDeterminism(t testing.TB, seed uint64, prefixEvents, suffixEvents 
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireEqualResults(t, want, got, "warm-prefix fork")
+		if got.Summary != (tracerec.Summary{}) {
+			t.Fatal("Cell summarized its records; the cell contract leaves Summary zero")
+		}
+		requireEqualResults(t, want, joinFork(c, got), "warm-prefix fork")
 	}
+}
+
+// joinFork reassembles a whole-run result from a cell: the campaign's
+// prefix records followed by the cell's own, summarized as one log.
+func joinFork(c *Campaign, cell *core.Result) *core.Result {
+	full := *cell
+	records := append(append([]tracerec.Record(nil), c.Prefix()...), cell.Log.Records...)
+	full.Log = &tracerec.Log{Records: records}
+	full.Summary = full.Log.Summarize()
+	return &full
 }
 
 func TestForkCampaignMatchesStraightRun(t *testing.T) {
@@ -206,6 +221,39 @@ func FuzzForkDeterminism(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, prefixEvents, suffixEvents uint8) {
 		checkForkDeterminism(t, seed, int(prefixEvents)+2, int(suffixEvents)+2)
 	})
+}
+
+// TestStaleCampaignCellFails pins the fork's validity contract: once
+// the arena builds another scenario, the campaign's snapshot no longer
+// matches the arena's system, and Cell must refuse instead of restoring
+// into it.
+func TestStaleCampaignCellFails(t *testing.T) {
+	var arena SimArena
+	c, err := arena.ForkCampaign(testScenario(11, 120))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sfx := [][]simtime.Time{suffixAfter(c.Now(), 11, 21, us(1344), us(1344), 40), nil}
+	if _, err := c.Cell(sfx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := arena.Run(testScenario(12, 90)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Cell(sfx); err == nil || !strings.Contains(err.Error(), "stale campaign") {
+		t.Fatalf("Cell on a campaign whose arena ran another scenario: err = %v, want a stale-campaign error", err)
+	}
+	// A fresh fork on the same arena is valid again.
+	c2, err := arena.ForkCampaign(testScenario(11, 120))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c2.Cell(sfx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Cell(sfx); err == nil {
+		t.Fatal("the older campaign came back to life after a re-fork")
+	}
 }
 
 // TestCellRejectsWrongSuffixCount pins the Cell argument contract.

@@ -358,11 +358,13 @@ func (s *Server) mergeCellFailure(cs *campaignState, idx int, msg string) {
 }
 
 // finishCampaign settles a campaign once its feeder is done. Complete
-// aggregates are encoded, stored under the campaign's content address
-// (store before terminal record — the crash between the two replays
-// into a refold that lands on identical bytes), and journaled
-// terminal. An incomplete aggregate means drain interrupted expansion:
-// the campaign stays running and its journal record live.
+// aggregates are encoded, stored under the campaign's content address,
+// published as done and journaled terminal. Store before publish: a
+// client that reads the terminal stream chunk fetches the aggregate by
+// key at once. Store before terminal record: the crash between the two
+// replays into a refold that lands on identical bytes. An incomplete
+// aggregate means drain interrupted expansion: the campaign stays
+// running and its journal record live.
 func (s *Server) finishCampaign(cs *campaignState) {
 	s.cmu.Lock()
 	if cs.status != StatusRunning || !cs.agg.Complete() {
@@ -370,6 +372,12 @@ func (s *Server) finishCampaign(cs *campaignState) {
 		return
 	}
 	body, err := report.EncodeCampaign(cs.agg)
+	s.cmu.Unlock()
+	if err == nil {
+		s.cache.Put(cs.key, body)
+	}
+
+	s.cmu.Lock()
 	if err != nil {
 		cs.status = StatusFailed
 		cs.err = err.Error()
@@ -383,7 +391,6 @@ func (s *Server) finishCampaign(cs *campaignState) {
 	s.cmu.Unlock()
 
 	if status == StatusDone {
-		s.cache.Put(cs.key, body)
 		s.campaignTerminal(cs, opDone, "")
 		s.campDone.Inc()
 	} else {

@@ -236,6 +236,17 @@ func TestCampaignCrashMidCampaignResumesByteIdentical(t *testing.T) {
 	if err := json.Unmarshal(body, &accepted); err != nil {
 		t.Fatal(err)
 	}
+	// The feeder expands the campaign asynchronously after the 202. A
+	// Shutdown that overtakes it stops the expansion before any cell is
+	// admitted, and then no result can survive the crash; wait for the
+	// two accepts the journal takes.
+	deadline := time.Now().Add(10 * time.Second)
+	for reg1.Counter("repro_server_jobs_accepted_total").Value() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the feeder never admitted the two pre-crash cells")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	// Let the dying daemon settle: the two accepted cells run (their
 	// results reach the store; their terminal records die with the
 	// journal), the rest are refused. Shutdown's compaction fails on the
